@@ -1,5 +1,5 @@
-// Planner grid-search performance: sequential vs parallel vs
-// parallel+memoized (see DESIGN.md §7). Prints one table row per
+// Planner grid-search performance: sequential vs forced parallel vs the
+// adaptive default (see DESIGN.md §7). Prints one table row per
 // (model, machines) testbed and writes the same rows to a JSON file
 // (default BENCH_planner.json in the current directory — run from the
 // repo root; pass an output path as argv[1] to override).
@@ -27,11 +27,10 @@ struct Case {
 
 struct Row {
   std::string config;
-  double seq_ms = 0.0;         ///< 1 thread, no stage cache.
-  double par_nocache_ms = 0.0; ///< All threads, no stage cache (forced).
-  double par_ms = 0.0;         ///< All threads + stage cache (forced).
-  double adaptive_ms = 0.0;    ///< Default options: the work-estimate
-                               ///< threshold picks seq or par per grid.
+  double seq_ms = 0.0;       ///< 1 thread.
+  double par_ms = 0.0;       ///< All threads + stage cache (forced).
+  double adaptive_ms = 0.0;  ///< Default options: the work-estimate
+                             ///< threshold picks seq or par per grid.
   double speedup = 0.0;          ///< seq_ms / par_ms.
   double adaptive_speedup = 0.0; ///< seq_ms / adaptive_ms (>= ~1 always:
                                  ///< the small-grid regression fix).
@@ -84,14 +83,10 @@ Row run_case(const Case& c) {
   PlannerOptions seq_opts;
   seq_opts.global_batch = c.global_batch;
   seq_opts.search_threads = 1;
-  seq_opts.enable_stage_cache = false;
 
-  PlannerOptions par_nocache_opts = seq_opts;
-  par_nocache_opts.search_threads = 0;  // All hardware threads.
-  par_nocache_opts.parallel_work_threshold = 0.0;  // Forced fan-out.
-
-  PlannerOptions par_opts = par_nocache_opts;
-  par_opts.enable_stage_cache = true;
+  PlannerOptions par_opts = seq_opts;
+  par_opts.search_threads = 0;  // All hardware threads.
+  par_opts.parallel_work_threshold = 0.0;  // Forced fan-out.
 
   // Out-of-the-box behavior: the work-estimate threshold decides, per
   // grid, whether the fan-out + per-evaluation cache pay for themselves.
@@ -100,7 +95,6 @@ Row run_case(const Case& c) {
   adaptive_opts.search_threads = 0;
 
   const Planner seq_planner(c.model, cluster, seq_opts);
-  const Planner par_nocache_planner(c.model, cluster, par_nocache_opts);
   const Planner par_planner(c.model, cluster, par_opts);
   const Planner adaptive_planner(c.model, cluster, adaptive_opts);
 
@@ -108,17 +102,14 @@ Row run_case(const Case& c) {
   row.config = c.name;
   std::vector<double> best_ms;
   std::vector<Plan> plans;
-  time_plans_ms({&seq_planner, &par_nocache_planner, &par_planner,
-                 &adaptive_planner},
-                &best_ms, &plans);
+  time_plans_ms({&seq_planner, &par_planner, &adaptive_planner}, &best_ms,
+                &plans);
   row.seq_ms = best_ms[0];
-  row.par_nocache_ms = best_ms[1];
-  row.par_ms = best_ms[2];
-  row.adaptive_ms = best_ms[3];
+  row.par_ms = best_ms[1];
+  row.adaptive_ms = best_ms[2];
   const Plan& seq_plan = plans[0];
-  const Plan& par_nocache_plan = plans[1];
-  const Plan& par_plan = plans[2];
-  const Plan& adaptive_plan = plans[3];
+  const Plan& par_plan = plans[1];
+  const Plan& adaptive_plan = plans[2];
   row.speedup = row.seq_ms / row.par_ms;
   row.adaptive_speedup = row.seq_ms / row.adaptive_ms;
   row.combos = par_plan.search.combos_total;
@@ -131,7 +122,6 @@ Row run_case(const Case& c) {
   // Sanity: all variants must pick the same plan (the tentpole's
   // bit-identity contract; the parity tests check it exhaustively).
   if (!(seq_plan.config == par_plan.config) ||
-      !(seq_plan.config == par_nocache_plan.config) ||
       !(seq_plan.config == adaptive_plan.config)) {
     std::fprintf(stderr, "FATAL: %s: plan mismatch across search variants\n",
                  c.name.c_str());
@@ -154,20 +144,19 @@ int main(int argc, char** argv) {
   cases.push_back({"cdm_x1", make_cdm_lsun(), 1, 128.0});
   cases.push_back({"cdm_x2", make_cdm_lsun(), 2, 256.0});
 
-  bench::header(
-      "Planner search: sequential vs parallel vs parallel+cache vs adaptive");
+  bench::header("Planner search: sequential vs parallel+cache vs adaptive");
   std::printf("host threads: %d\n", default_thread_count());
-  std::printf("%-16s %8s %14s %10s %11s %9s %9s %9s %7s\n", "config",
-              "seq_ms", "par_nocache_ms", "par_ms", "adaptive_ms", "speedup",
-              "adaptive", "hit_rate", "combos");
+  std::printf("%-16s %8s %10s %11s %9s %9s %9s %7s\n", "config", "seq_ms",
+              "par_ms", "adaptive_ms", "speedup", "adaptive", "hit_rate",
+              "combos");
 
   std::vector<Row> rows;
   for (const Case& c : cases) {
     const Row row = run_case(c);
-    std::printf("%-16s %8.1f %14.1f %10.1f %11.1f %8.2fx %8.2fx %8.1f%% %7d\n",
-                row.config.c_str(), row.seq_ms, row.par_nocache_ms,
-                row.par_ms, row.adaptive_ms, row.speedup,
-                row.adaptive_speedup, 100.0 * row.cache_hit_rate, row.combos);
+    std::printf("%-16s %8.1f %10.1f %11.1f %8.2fx %8.2fx %8.1f%% %7d\n",
+                row.config.c_str(), row.seq_ms, row.par_ms, row.adaptive_ms,
+                row.speedup, row.adaptive_speedup, 100.0 * row.cache_hit_rate,
+                row.combos);
     rows.push_back(row);
   }
 
@@ -188,7 +177,6 @@ int main(int argc, char** argv) {
     const Row& r = rows[i];
     json << "  {\"config\": \"" << r.config << "\", \"seq_ms\": " << r.seq_ms
          << ", \"par_ms\": " << r.par_ms << ", \"speedup\": " << r.speedup
-         << ", \"par_nocache_ms\": " << r.par_nocache_ms
          << ", \"adaptive_ms\": " << r.adaptive_ms
          << ", \"adaptive_speedup\": " << r.adaptive_speedup
          << ", \"cache_hit_rate\": " << r.cache_hit_rate

@@ -1,6 +1,6 @@
 // Runtime kernel & memory substrate benchmark (DESIGN.md §8, §11, §13):
-// matmul GFLOP/s for the naive / blocked / blocked+parallel / fast paths
-// across the three transpose variants — square shapes plus the rectangular
+// single-thread matmul GFLOP/s for the naive and blocked paths across the
+// three transpose variants — square shapes plus the rectangular
 // (skinny/tall) batch x hidden GEMMs the trainer actually issues — a
 // roofline section comparing achieved GFLOP/s against the measured
 // register-tile compute ceiling at the active SIMD level, an elementwise
@@ -8,8 +8,8 @@
 // eltwise/optimizer kernels, end-to-end PipelineTrainer iterations/s under
 // each kernel mode, a GEMM vs non-GEMM time breakdown of the trainer loop
 // (via the runtime op profiler), and TensorPool recycling/alignment stats.
-// Prints a table and writes BENCH_runtime.json (pass an output path to
-// override; pass --quick for a fast smoke run).
+// Prints a table and writes BENCH_runtime.json, headed by the host it ran
+// on (pass an output path to override; pass --quick for a fast smoke run).
 //
 // Timing idiom (SNIPPETS §2–3, the DeployUseTensorRT harness): set up
 // once, one untimed warm-up, then a timed loop of enough calls to swamp
@@ -27,6 +27,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "runtime/dp_trainer.h"
@@ -40,6 +41,22 @@ namespace {
 
 using namespace dpipe::rt;
 
+/// The CPU model string from /proc/cpuinfo ("unknown" where that file or
+/// field is missing), recorded so a result names the host it came from.
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      const std::size_t colon = line.find(':');
+      if (colon != std::string::npos && colon + 2 <= line.size()) {
+        return line.substr(colon + 2);
+      }
+    }
+  }
+  return "unknown";
+}
+
 double now_ms() {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -51,10 +68,7 @@ struct MatmulRow {
   int m = 0, k = 0, n = 0;
   double naive_gflops = 0.0;
   double blocked_gflops = 0.0;
-  double parallel_gflops = 0.0;
-  double fast_gflops = 0.0;
   double blocked_vs_naive = 0.0;
-  double parallel_vs_blocked = 0.0;
 };
 
 using MatmulFn = void (*)(Tensor&, const Tensor&, const Tensor&, KernelMode);
@@ -123,13 +137,7 @@ MatmulRow run_matmul_case(const std::string& op, int m, int k, int n,
   row.blocked_gflops =
       time_gflops(fn, out, a, b, KernelMode::kBlocked, flops, reps);
   set_kernel_threads(0);
-  row.parallel_gflops = time_gflops(fn, out, a, b,
-                                    KernelMode::kBlockedParallel, flops,
-                                    reps);
-  row.fast_gflops =
-      time_gflops(fn, out, a, b, KernelMode::kFast, flops, reps);
   row.blocked_vs_naive = row.blocked_gflops / row.naive_gflops;
-  row.parallel_vs_blocked = row.parallel_gflops / row.blocked_gflops;
   return row;
 }
 
@@ -259,9 +267,8 @@ DdpmConfig e2e_problem_config() {
 /// the modes are timed round-robin for `rounds` repetitions of `iters`
 /// each, best-of-rounds per mode.
 std::vector<EndToEndRow> run_end_to_end(int iters, int rounds) {
-  const std::vector<KernelMode> modes = {
-      KernelMode::kNaive, KernelMode::kBlocked,
-      KernelMode::kBlockedParallel, KernelMode::kFast};
+  const std::vector<KernelMode> modes = {KernelMode::kNaive,
+                                         KernelMode::kBlocked};
   const DdpmProblem problem(e2e_problem_config());
   const PipelineRtConfig cfg = e2e_config();
   set_kernel_threads(0);
@@ -307,11 +314,11 @@ struct OpBreakdown {
 
 /// Where the trainer's compute time goes, via the runtime op profiler:
 /// matmul vs dispatched-eltwise nanoseconds accumulated across all stage
-/// threads over `iters` iterations under kBlockedParallel. The op times
+/// threads over `iters` iterations in the blocked mode. The op times
 /// are thread-summed, so they can exceed wall time on a multi-core box;
 /// the share is the meaningful number.
 OpBreakdown run_op_breakdown(int iters) {
-  set_kernel_mode(KernelMode::kBlockedParallel);
+  set_kernel_mode(KernelMode::kBlocked);
   set_kernel_threads(0);
   const DdpmProblem problem(e2e_problem_config());
   PipelineTrainer trainer(problem, e2e_config());
@@ -347,7 +354,10 @@ int main(int argc, char** argv) {
     }
   }
 
+  const std::string cpu = cpu_model();
+  const unsigned cores = std::thread::hardware_concurrency();
   std::printf("== Runtime kernel & memory substrate ==\n");
+  std::printf("host: %s, %u hardware threads\n", cpu.c_str(), cores);
   std::printf("simd: %s (detected %s), kernel pool threads: %d\n\n",
               simd_level_name(simd_level()),
               simd_level_name(detected_simd_level()), kernel_threads());
@@ -375,35 +385,29 @@ int main(int argc, char** argv) {
   }
   const int reps = quick ? 2 : 5;
 
-  std::printf("%-4s %5s %5s %5s %10s %11s %12s %10s %9s %8s\n", "op", "m",
-              "k", "n", "naive_gf", "blocked_gf", "parallel_gf", "fast_gf",
-              "blk/naive", "par/blk");
+  std::printf("%-4s %5s %5s %5s %10s %11s %9s   (1 thread)\n", "op", "m",
+              "k", "n", "naive_gf", "blocked_gf", "blk/naive");
   std::vector<MatmulRow> matmul_rows;
   for (const Shape& s : shapes) {
     for (const std::string op : {"nn", "tn", "nt"}) {
       const MatmulRow row = run_matmul_case(op, s.m, s.k, s.n, reps);
-      std::printf(
-          "%-4s %5d %5d %5d %10.2f %11.2f %12.2f %10.2f %8.1fx %7.2fx\n",
-          row.op.c_str(), row.m, row.k, row.n, row.naive_gflops,
-          row.blocked_gflops, row.parallel_gflops, row.fast_gflops,
-          row.blocked_vs_naive, row.parallel_vs_blocked);
+      std::printf("%-4s %5d %5d %5d %10.2f %11.2f %8.1fx\n", row.op.c_str(),
+                  row.m, row.k, row.n, row.naive_gflops, row.blocked_gflops,
+                  row.blocked_vs_naive);
       matmul_rows.push_back(row);
     }
   }
 
-  // Roofline: measured register-tile ceilings at the active SIMD level
+  // Roofline: measured register-tile ceiling at the active SIMD level
   // (single thread, L1-resident — the compute bound the packed kernels
   // chase), and the fraction each shape achieves.
-  const double peak_exact = measured_peak_gflops(KernelMode::kBlocked);
-  const double peak_fast = measured_peak_gflops(KernelMode::kFast);
-  std::printf("\nroofline (%s): exact peak %.2f GF/s, fast peak %.2f GF/s\n",
-              simd_level_name(simd_level()), peak_exact, peak_fast);
-  std::printf("%-4s %5s %5s %5s %12s %12s\n", "op", "m", "k", "n",
-              "exact_pct", "fast_pct");
+  const double peak = measured_peak_gflops();
+  std::printf("\nroofline (%s): peak %.2f GF/s\n",
+              simd_level_name(simd_level()), peak);
+  std::printf("%-4s %5s %5s %5s %12s\n", "op", "m", "k", "n", "peak_pct");
   for (const MatmulRow& r : matmul_rows) {
-    std::printf("%-4s %5d %5d %5d %11.1f%% %11.1f%%\n", r.op.c_str(), r.m,
-                r.k, r.n, 100.0 * r.blocked_gflops / peak_exact,
-                100.0 * r.fast_gflops / peak_fast);
+    std::printf("%-4s %5d %5d %5d %11.1f%%\n", r.op.c_str(), r.m, r.k, r.n,
+                100.0 * r.blocked_gflops / peak);
   }
 
   // Elementwise bandwidth: GB/s of actual memory traffic per dispatched
@@ -434,13 +438,13 @@ int main(int argc, char** argv) {
     std::printf("%-18s %10.1f %8.2fx\n", row.mode.c_str(), row.iters_per_s,
                 row.speedup);
   }
-  set_kernel_mode(KernelMode::kBlockedParallel);
+  set_kernel_mode(KernelMode::kBlocked);
 
-  // GEMM vs non-GEMM: where the blocked_parallel trainer's compute time
-  // goes, accumulated across stage threads by the runtime op profiler.
+  // GEMM vs non-GEMM: where the blocked trainer's compute time goes,
+  // accumulated across stage threads by the runtime op profiler.
   const OpBreakdown bd = run_op_breakdown(e2e_iters);
   std::printf(
-      "\nop breakdown (blocked_parallel, %d iters): wall %.1f ms, "
+      "\nop breakdown (blocked, %d iters): wall %.1f ms, "
       "matmul %.1f ms / %llu calls, eltwise %.1f ms / %llu calls, "
       "non-GEMM share %.1f%%\n",
       e2e_iters, bd.wall_ms, bd.matmul_ms,
@@ -465,7 +469,10 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(pool.alignment_bytes));
 
   std::ofstream json(out_path);
-  json << "{\n  \"simd\": \"" << simd_level_name(simd_level())
+  json << "{\n  \"host\": {\"cpu\": \"" << cpu
+       << "\", \"hardware_threads\": " << cores
+       << ", \"kernel_threads\": " << kernel_threads() << "},\n"
+       << "  \"simd\": \"" << simd_level_name(simd_level())
        << "\",\n  \"matmul\": [\n";
   for (std::size_t i = 0; i < matmul_rows.size(); ++i) {
     const MatmulRow& r = matmul_rows[i];
@@ -473,21 +480,16 @@ int main(int argc, char** argv) {
          << ", \"k\": " << r.k << ", \"n\": " << r.n
          << ", \"naive_gflops\": " << r.naive_gflops
          << ", \"blocked_gflops\": " << r.blocked_gflops
-         << ", \"parallel_gflops\": " << r.parallel_gflops
-         << ", \"fast_gflops\": " << r.fast_gflops
-         << ", \"blocked_vs_naive\": " << r.blocked_vs_naive
-         << ", \"parallel_vs_blocked\": " << r.parallel_vs_blocked << "}"
+         << ", \"blocked_vs_naive\": " << r.blocked_vs_naive << "}"
          << (i + 1 < matmul_rows.size() ? "," : "") << "\n";
   }
-  json << "  ],\n  \"roofline\": {\n    \"peak_exact_gflops\": "
-       << peak_exact << ",\n    \"peak_fast_gflops\": " << peak_fast
+  json << "  ],\n  \"roofline\": {\n    \"peak_gflops\": " << peak
        << ",\n    \"rows\": [\n";
   for (std::size_t i = 0; i < matmul_rows.size(); ++i) {
     const MatmulRow& r = matmul_rows[i];
     json << "      {\"op\": \"" << r.op << "\", \"m\": " << r.m
          << ", \"k\": " << r.k << ", \"n\": " << r.n
-         << ", \"exact_pct\": " << 100.0 * r.blocked_gflops / peak_exact
-         << ", \"fast_pct\": " << 100.0 * r.fast_gflops / peak_fast << "}"
+         << ", \"peak_pct\": " << 100.0 * r.blocked_gflops / peak << "}"
          << (i + 1 < matmul_rows.size() ? "," : "") << "\n";
   }
   json << "    ]\n  },\n  \"eltwise\": [\n";
@@ -507,7 +509,7 @@ int main(int argc, char** argv) {
          << ", \"speedup\": " << r.speedup << "}"
          << (i + 1 < e2e_rows.size() ? "," : "") << "\n";
   }
-  json << "  ],\n  \"op_breakdown\": {\"mode\": \"blocked_parallel\", "
+  json << "  ],\n  \"op_breakdown\": {\"mode\": \"blocked\", "
        << "\"iters\": " << e2e_iters << ", \"wall_ms\": " << bd.wall_ms
        << ", \"matmul_ms\": " << bd.matmul_ms
        << ", \"matmul_calls\": " << bd.matmul_calls

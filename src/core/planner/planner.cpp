@@ -54,14 +54,6 @@ Planner::Planner(ModelDesc model, ClusterSpec cluster, PlannerOptions options)
   ensure(model_.backbone_ids.size() <= 2,
          "grouping must produce at most two virtual backbones");
   apply_default_candidates(options_, cluster_.world_size());
-  // The historical one_replica_per_stage flag is a deprecated alias of the
-  // placement predicate: setting either sets both.
-  if (options_.one_replica_per_stage) {
-    options_.require_bindable_placement = true;
-  }
-  if (options_.require_bindable_placement) {
-    options_.one_replica_per_stage = true;
-  }
   for (const int v : options_.vstage_candidates) {
     require(v >= 1, "vstage candidates must be positive");
     require(v == 1 || options_.schedule_family == ScheduleFamily::kInterleaved,
@@ -205,10 +197,8 @@ std::optional<Planner::Evaluation> Planner::evaluate(
   // carrying costs memoized by earlier plans into this one.
   StageCostCache cache;
   StageCostCache* cache_ptr =
-      external_cache != nullptr
-          ? external_cache
-          : (options_.enable_stage_cache && enable_eval_cache ? &cache
-                                                              : nullptr);
+      external_cache != nullptr ? external_cache
+                                : (enable_eval_cache ? &cache : nullptr);
   const std::size_t hits_before = cache_ptr ? cache_ptr->hits() : 0;
   const std::size_t misses_before = cache_ptr ? cache_ptr->misses() : 0;
 
@@ -335,7 +325,7 @@ Plan Planner::plan() const {
   // search thread owns each cache for the duration of the search.
   std::vector<StageCostStore::Lease> leases(n);
   std::vector<StageCostCache*> combo_cache(n, nullptr);
-  if (options_.cache_store != nullptr && options_.enable_stage_cache) {
+  if (options_.cache_store != nullptr) {
     const std::string context = cost_context_fingerprint();
     const int world = cluster_.world_size();
     for (std::size_t i = 0; i < n; ++i) {

@@ -54,9 +54,6 @@ struct PlannerOptions {
   /// ProgramValidator::validate_runtime_bindable). Elastic re-plans set
   /// this so every candidate program is executable.
   bool require_bindable_placement = false;
-  /// Deprecated alias of require_bindable_placement (the historical name,
-  /// kept for wire compatibility). Setting either sets both.
-  bool one_replica_per_stage = false;
   /// Reject combos whose micro-batch is fractional. The engine models
   /// fractional micro-batches fine; the functional runtime slices real
   /// tensors and needs global_batch divisible by dp x M.
@@ -70,10 +67,6 @@ struct PlannerOptions {
   /// store and must keep it alive. nullptr = per-evaluation caches (the
   /// default).
   StageCostStore* cache_store = nullptr;
-  /// Memoize DpPartitioner::stage_cost per configuration (shared between
-  /// the DP and the schedule builder). Invisible to results; off only for
-  /// benchmarking the unmemoized path.
-  bool enable_stage_cache = true;
   /// Exact branch-and-bound: skip configurations whose compute lower bound
   /// proves they cannot beat a deterministically chosen incumbent. Never
   /// changes the selected plan; pruned (provably worse) configurations are

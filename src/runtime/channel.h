@@ -1,6 +1,5 @@
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <optional>
@@ -43,7 +42,12 @@ class Channel {
   [[nodiscard]] std::optional<T> pop() {
     std::unique_lock<std::mutex> lock(mutex_);
     cv_.wait(lock, [&] { return !queue_.empty() || closed_; });
-    return take_locked();
+    if (queue_.empty()) {
+      return std::nullopt;
+    }
+    std::optional<T> value = std::move(queue_.front());
+    queue_.pop();
+    return value;
   }
 
   /// Non-blocking pop for the cooperative wave scheduler. Dequeues into
@@ -60,15 +64,6 @@ class Channel {
     return closed_ ? TryPop::kClosed : TryPop::kEmpty;
   }
 
-  /// Like pop(), but gives up after `timeout_ms`; nullopt on timeout too.
-  [[nodiscard]] std::optional<T> pop_for(double timeout_ms) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait_for(lock,
-                 std::chrono::duration<double, std::milli>(timeout_ms),
-                 [&] { return !queue_.empty() || closed_; });
-    return take_locked();
-  }
-
   /// Marks the channel closed and wakes all blocked consumers. Idempotent.
   void close() {
     {
@@ -78,22 +73,8 @@ class Channel {
     cv_.notify_all();
   }
 
-  [[nodiscard]] bool closed() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return closed_;
-  }
-
  private:
-  [[nodiscard]] std::optional<T> take_locked() {
-    if (queue_.empty()) {
-      return std::nullopt;
-    }
-    std::optional<T> value = std::move(queue_.front());
-    queue_.pop();
-    return value;
-  }
-
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable cv_;
   std::queue<T> queue_;
   bool closed_ = false;

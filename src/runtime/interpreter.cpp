@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <string>
 #include <thread>
@@ -34,22 +35,10 @@ class ReduceBarrier {
   template <typename Fn>
   [[nodiscard]] bool arrive_and_wait(Fn&& reduce) {
     std::unique_lock<std::mutex> lock(mutex_);
-    if (aborted_) {
-      return false;
+    bool arrived = false;
+    if (arrive_locked(arrived, reduce) == TryArrive::kPending) {
+      cv_.wait(lock, [&] { return done_ || aborted_; });
     }
-    if (++arrived_ == parties_) {
-      try {
-        reduce();
-      } catch (...) {
-        aborted_ = true;
-        cv_.notify_all();
-        throw;
-      }
-      done_ = true;
-      cv_.notify_all();
-      return true;
-    }
-    cv_.wait(lock, [&] { return done_ || aborted_; });
     return !aborted_;
   }
 
@@ -63,7 +52,23 @@ class ReduceBarrier {
   /// semantics as arrive_and_wait().
   template <typename Fn>
   [[nodiscard]] TryArrive try_arrive(bool& arrived, Fn&& reduce) {
-    std::unique_lock<std::mutex> lock(mutex_);
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return arrive_locked(arrived, reduce);
+  }
+
+  void abort() {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      aborted_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  /// Registers the caller's arrival once; the last arriver runs the
+  /// reduction (a throw aborts the barrier). Caller holds mutex_.
+  template <typename Fn>
+  [[nodiscard]] TryArrive arrive_locked(bool& arrived, Fn& reduce) {
     if (aborted_) {
       return TryArrive::kAborted;
     }
@@ -79,21 +84,11 @@ class ReduceBarrier {
         }
         done_ = true;
         cv_.notify_all();
-        return TryArrive::kReduced;
       }
     }
     return done_ ? TryArrive::kReduced : TryArrive::kPending;
   }
 
-  void abort() {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      aborted_ = true;
-    }
-    cv_.notify_all();
-  }
-
- private:
   std::mutex mutex_;
   std::condition_variable cv_;
   int parties_;
@@ -111,21 +106,119 @@ class ReduceBarrier {
 /// DPIPE_WAVE_EXEC resolution for WaveExec::kAuto: explicit env override,
 /// else serial exactly when the host has nothing to run threads on.
 [[nodiscard]] WaveExec resolve_wave_exec_auto() {
-  if (const char* env = std::getenv("DPIPE_WAVE_EXEC")) {
-    const std::string value(env);
-    if (value == "threads") {
-      return WaveExec::kThreads;
-    }
-    if (value == "serial") {
-      return WaveExec::kSerial;
-    }
-    // "auto" (or anything unrecognized) falls through to detection.
+  const char* env = std::getenv("DPIPE_WAVE_EXEC");
+  const WaveExec requested =
+      env != nullptr ? parse_wave_exec(env) : WaveExec::kAuto;
+  if (requested != WaveExec::kAuto) {
+    return requested;
   }
   return std::thread::hardware_concurrency() <= 1 ? WaveExec::kSerial
                                                   : WaveExec::kThreads;
 }
 
 std::atomic<WaveExec> g_wave_exec{WaveExec::kAuto};
+
+/// Outcome of one wave task's run() call.
+enum class TaskStatus { kBlocked, kDone };
+
+/// Runs one wave's tasks to completion under the selected WaveExec and
+/// returns each task's error (null if it finished cleanly), indexed like
+/// `tasks`. A task provides run(bool may_block) -> TaskStatus and
+/// made_progress(). kThreads gives every task its own thread, which calls
+/// run(true) once. kSerial round-robins run(false) on the calling thread:
+/// each call executes until the task's next channel pop or barrier would
+/// block. A task's first error aborts the wave through `abort_wave`, so
+/// its peers drain out of their pops and barriers instead of waiting for a
+/// dead producer; callers choose which recorded error to rethrow.
+template <typename Task, typename Abort>
+[[nodiscard]] std::vector<std::exception_ptr> run_wave(
+    std::vector<Task>& tasks, const Abort& abort_wave) {
+  std::vector<std::exception_ptr> errors(tasks.size());
+  if (wave_exec() == WaveExec::kThreads) {
+    std::vector<std::thread> threads;
+    threads.reserve(tasks.size());
+    const auto join_all = [&threads] {
+      for (std::thread& thread : threads) {
+        thread.join();
+      }
+    };
+    try {
+      for (std::size_t t = 0; t < tasks.size(); ++t) {
+        threads.emplace_back([&tasks, &errors, &abort_wave, t] {
+          try {
+            tasks[t].run(true);
+          } catch (...) {
+            errors[t] = std::current_exception();
+            abort_wave();
+          }
+        });
+      }
+    } catch (...) {
+      // A failed spawn: release the started tasks, which would otherwise
+      // wait forever on peers that never ran, and join them before the
+      // wave's state goes out of scope.
+      abort_wave();
+      join_all();
+      throw;
+    }
+    join_all();
+    return errors;
+  }
+  std::vector<char> done(tasks.size(), 0);
+  std::size_t remaining = tasks.size();
+  while (remaining > 0) {
+    bool progressed = false;
+    for (std::size_t t = 0; t < tasks.size(); ++t) {
+      if (done[t] != 0) {
+        continue;
+      }
+      try {
+        if (tasks[t].run(false) == TaskStatus::kBlocked) {
+          progressed = progressed || tasks[t].made_progress();
+          continue;
+        }
+      } catch (...) {
+        errors[t] = std::current_exception();
+        abort_wave();
+      }
+      done[t] = 1;
+      --remaining;
+      progressed = true;
+    }
+    // A full sweep with zero progress means no runnable task exists: the
+    // program would deadlock under any scheduler. Validated programs never
+    // get here.
+    DPIPE_ENSURE(progressed,
+                 "cooperative wave deadlocked: no task can progress");
+  }
+  return errors;
+}
+
+enum class PopOutcome { kOk, kWouldBlock, kAborted };
+
+/// A wave task's channel receive: waits inside pop() when the task may
+/// block, else polls try_pop() and reports kWouldBlock on an empty open
+/// channel. kAborted means the channel was closed and drained.
+template <typename T>
+[[nodiscard]] PopOutcome pop_from(Channel<T>& ch, bool may_block, T& out) {
+  if (may_block) {
+    std::optional<T> value = ch.pop();
+    if (!value.has_value()) {
+      return PopOutcome::kAborted;
+    }
+    out = std::move(*value);
+    return PopOutcome::kOk;
+  }
+  switch (ch.try_pop(out)) {
+    case TryPop::kValue:
+      return PopOutcome::kOk;
+    case TryPop::kEmpty:
+      return PopOutcome::kWouldBlock;
+    case TryPop::kClosed:
+      return PopOutcome::kAborted;
+  }
+  return PopOutcome::kAborted;  // Unreachable.
+}
 
 /// Everything one train_wave's per-(replica, device) tasks share. Owned by
 /// train_wave's frame; tasks hold a reference.
@@ -151,6 +244,17 @@ struct TrainWave {
   std::vector<std::vector<Tensor>>& preds;
 };
 
+/// A wave task that never blocks: its first run() call does all its work.
+struct OneShotTask {
+  std::function<void()> work;
+
+  TaskStatus run(bool /*may_block*/) {
+    work();
+    return TaskStatus::kDone;
+  }
+  [[nodiscard]] bool made_progress() const { return true; }
+};
+
 /// Resumable execution state of one (replica g, device dev) training task —
 /// the historical per-thread lambda body with its locals lifted into
 /// members and an instruction cursor. One task walks its device's whole
@@ -166,8 +270,6 @@ struct TrainWave {
 /// arithmetic, so the two schedules produce bit-identical tensors.
 class DeviceExec {
  public:
-  enum class Status { kBlocked, kDone };
-
   DeviceExec(TrainWave& w, int g, int dev)
       : w_(w),
         g_(g),
@@ -188,7 +290,7 @@ class DeviceExec {
   /// inside channel/barrier ops and never returns kBlocked. Throws on
   /// stage failure; an aborted wave ends the task silently (kDone), same
   /// as the historical early `return`.
-  Status run(bool may_block);
+  TaskStatus run(bool may_block);
 
   /// Whether the latest run(false) call executed at least one instruction
   /// (the cooperative scheduler's livelock guard).
@@ -197,33 +299,10 @@ class DeviceExec {
  private:
   /// Marks the task finished (aborted wave): the scheduler must not resume
   /// it again.
-  Status finish() {
+  TaskStatus finish() {
     ip_ = stream_.size();
     progressed_ = true;
-    return Status::kDone;
-  }
-
-  enum class PopOutcome { kOk, kWouldBlock, kAborted };
-
-  template <typename T>
-  [[nodiscard]] PopOutcome pop_from(Channel<T>& ch, bool may_block, T& out) {
-    if (may_block) {
-      std::optional<T> value = ch.pop();
-      if (!value.has_value()) {
-        return PopOutcome::kAborted;
-      }
-      out = std::move(*value);
-      return PopOutcome::kOk;
-    }
-    switch (ch.try_pop(out)) {
-      case TryPop::kValue:
-        return PopOutcome::kOk;
-      case TryPop::kEmpty:
-        return PopOutcome::kWouldBlock;
-      case TryPop::kClosed:
-        return PopOutcome::kAborted;
-    }
-    return PopOutcome::kAborted;  // Unreachable.
+    return TaskStatus::kDone;
   }
 
   TrainWave& w_;
@@ -245,7 +324,7 @@ class DeviceExec {
   bool progressed_ = false;
 };
 
-DeviceExec::Status DeviceExec::run(bool may_block) {
+TaskStatus DeviceExec::run(bool may_block) {
   progressed_ = false;
   TensorPool& pool = TensorPool::global();
   while (ip_ < stream_.size()) {
@@ -266,7 +345,7 @@ DeviceExec::Status DeviceExec::run(bool may_block) {
             case PopOutcome::kOk:
               break;
             case PopOutcome::kWouldBlock:
-              return Status::kBlocked;
+              return TaskStatus::kBlocked;
             case PopOutcome::kAborted:
               return finish();  // Wave aborted before the inputs arrived.
           }
@@ -293,7 +372,7 @@ DeviceExec::Status DeviceExec::run(bool may_block) {
             inbox_act_[w_.b.slot_of_stage(s)][instr.micro] = std::move(recv);
             break;
           case PopOutcome::kWouldBlock:
-            return Status::kBlocked;
+            return TaskStatus::kBlocked;
           case PopOutcome::kAborted:
             return finish();  // Peer aborted the wave.
         }
@@ -307,7 +386,7 @@ DeviceExec::Status DeviceExec::run(bool may_block) {
             inbox_grad_[w_.b.slot_of_stage(s)][instr.micro] = std::move(recv);
             break;
           case PopOutcome::kWouldBlock:
-            return Status::kBlocked;
+            return TaskStatus::kBlocked;
           case PopOutcome::kAborted:
             return finish();  // Peer aborted the wave.
         }
@@ -433,7 +512,7 @@ DeviceExec::Status DeviceExec::run(bool may_block) {
             case ReduceBarrier::TryArrive::kReduced:
               break;
             case ReduceBarrier::TryArrive::kPending:
-              return Status::kBlocked;
+              return TaskStatus::kBlocked;
             case ReduceBarrier::TryArrive::kAborted:
               return finish();  // Wave aborted while waiting for peers.
           }
@@ -457,7 +536,7 @@ DeviceExec::Status DeviceExec::run(bool may_block) {
     ++ip_;
     progressed_ = true;
   }
-  return Status::kDone;
+  return TaskStatus::kDone;
 }
 
 }  // namespace
@@ -472,6 +551,21 @@ const char* wave_exec_name(WaveExec mode) {
       return "serial";
   }
   return "?";
+}
+
+WaveExec parse_wave_exec(const std::string& value) {
+  if (value == "auto" || value.empty()) {
+    return WaveExec::kAuto;
+  }
+  if (value == "threads") {
+    return WaveExec::kThreads;
+  }
+  if (value == "serial") {
+    return WaveExec::kSerial;
+  }
+  DPIPE_REQUIRE(false, "unknown DPIPE_WAVE_EXEC value '" + value +
+                           "' (expected threads, serial, or auto)");
+  return WaveExec::kAuto;  // Unreachable.
 }
 
 WaveExec wave_exec() {
@@ -728,75 +822,19 @@ double ProgramInterpreter::train_wave(
     preds[g].resize(M);
   }
   const int devices = b.program().group_size;
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(G) *
-                                         devices);
-
   TrainWave wave{b,         *problem_,  replicas,  inputs,   global_batch_,
                  iteration, fault,      log,       S,        M,
                  G,         per_micro,  stage_params, stage_grads,
                  act,       grad,       cond_gate, barriers, preds};
-
-  if (wave_exec() == WaveExec::kSerial) {
-    // Cooperative round-robin on this thread: every task runs until its
-    // next pop/barrier would block, then yields. Bit-identical to the
-    // threaded schedule (see WaveExec) without G*devices spawns per wave.
-    std::vector<std::unique_ptr<DeviceExec>> tasks;
-    tasks.reserve(static_cast<std::size_t>(G) * devices);
-    for (int g = 0; g < G; ++g) {
-      for (int dev = 0; dev < devices; ++dev) {
-        tasks.push_back(std::make_unique<DeviceExec>(wave, g, dev));
-      }
-    }
-    std::vector<char> done(tasks.size(), 0);
-    std::size_t remaining = tasks.size();
-    while (remaining > 0) {
-      bool progressed = false;
-      for (std::size_t t = 0; t < tasks.size(); ++t) {
-        if (done[t] != 0) {
-          continue;
-        }
-        try {
-          if (tasks[t]->run(false) == DeviceExec::Status::kDone) {
-            done[t] = 1;
-            --remaining;
-            progressed = true;
-          } else if (tasks[t]->made_progress()) {
-            progressed = true;
-          }
-        } catch (...) {
-          errors[t] = std::current_exception();
-          abort_all();
-          done[t] = 1;
-          --remaining;
-          progressed = true;
-        }
-      }
-      // A full sweep with zero progress means no runnable task exists: the
-      // program would deadlock under any scheduler. Validated programs
-      // never get here.
-      DPIPE_ENSURE(progressed,
-                   "cooperative wave deadlocked: no task can progress");
-    }
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(G) * devices);
-    for (int g = 0; g < G; ++g) {
-      for (int dev = 0; dev < devices; ++dev) {
-        threads.emplace_back([&wave, &errors, &abort_all, g, dev, devices] {
-          try {
-            DeviceExec(wave, g, dev).run(true);
-          } catch (...) {
-            errors[static_cast<std::size_t>(g) * devices + dev] =
-                std::current_exception();
-            abort_all();
-          }
-        });
-      }
-    }
-    for (std::thread& t : threads) {
-      t.join();
+  std::vector<DeviceExec> tasks;
+  tasks.reserve(static_cast<std::size_t>(G) * devices);
+  for (int g = 0; g < G; ++g) {
+    for (int dev = 0; dev < devices; ++dev) {
+      tasks.emplace_back(wave, g, dev);
     }
   }
+  const std::vector<std::exception_ptr> errors = run_wave(tasks, abort_all);
+  // Scan device-major, so one set of failures always rethrows one error.
   for (int dev = 0; dev < devices; ++dev) {
     for (int g = 0; g < G; ++g) {
       if (errors[static_cast<std::size_t>(g) * devices + dev] != nullptr) {
@@ -836,7 +874,6 @@ namespace {
 /// as DeviceExec.
 class ForwardExec {
  public:
-  enum class Status { kBlocked, kDone };
 
   ForwardExec(const ProgramBinding& b, const DdpmProblem& problem,
               const ProgramInterpreter::ReplicaState& replica,
@@ -857,7 +894,7 @@ class ForwardExec {
         loaded_(M),
         inbox_(owned_.size(), std::vector<Tensor>(M)) {}
 
-  Status run(bool may_block) {
+  TaskStatus run(bool may_block) {
     progressed_ = false;
     while (ip_ < stream_.size()) {
       const Instruction& instr = stream_[ip_];
@@ -872,24 +909,15 @@ class ForwardExec {
         }
         case InstrKind::kRecvActivation: {
           const int s = instr.stage;
-          const int slot = b_.slot_of_stage(s);
-          if (may_block) {
-            std::optional<Tensor> recv = act_[s - 1].pop();
-            if (!recv.has_value()) {
+          Tensor recv;
+          switch (pop_from(act_[s - 1], may_block, recv)) {
+            case PopOutcome::kOk:
+              inbox_[b_.slot_of_stage(s)][instr.micro] = std::move(recv);
+              break;
+            case PopOutcome::kWouldBlock:
+              return TaskStatus::kBlocked;
+            case PopOutcome::kAborted:
               return finish();
-            }
-            inbox_[slot][instr.micro] = std::move(*recv);
-          } else {
-            Tensor recv;
-            switch (act_[s - 1].try_pop(recv)) {
-              case TryPop::kValue:
-                inbox_[slot][instr.micro] = std::move(recv);
-                break;
-              case TryPop::kEmpty:
-                return Status::kBlocked;
-              case TryPop::kClosed:
-                return finish();
-            }
           }
           break;
         }
@@ -932,16 +960,16 @@ class ForwardExec {
       }
     }
     progressed_ = true;
-    return Status::kDone;
+    return TaskStatus::kDone;
   }
 
   [[nodiscard]] bool made_progress() const { return progressed_; }
 
  private:
-  Status finish() {
+  TaskStatus finish() {
     ip_ = stream_.size() + 1;  // Past-the-end: skip the context drop too.
     progressed_ = true;
-    return Status::kDone;
+    return TaskStatus::kDone;
   }
 
   const ProgramBinding& b_;
@@ -975,67 +1003,18 @@ std::vector<Tensor> ProgramInterpreter::forward_wave(
   const int devices = b.program().group_size;
   std::vector<Channel<Tensor>> act(S);
   std::vector<Tensor> outputs(M);
-  std::vector<std::exception_ptr> errors(devices);
   const auto abort_all = [&] {
     for (Channel<Tensor>& ch : act) {
       ch.close();
     }
   };
-
-  if (wave_exec() == WaveExec::kSerial) {
-    std::vector<std::unique_ptr<ForwardExec>> tasks;
-    tasks.reserve(devices);
-    for (int dev = 0; dev < devices; ++dev) {
-      tasks.push_back(std::make_unique<ForwardExec>(
-          b, *problem_, replica, inputs, dev, S, M, per_micro, act, outputs));
-    }
-    std::vector<char> done(tasks.size(), 0);
-    std::size_t remaining = tasks.size();
-    while (remaining > 0) {
-      bool progressed = false;
-      for (std::size_t t = 0; t < tasks.size(); ++t) {
-        if (done[t] != 0) {
-          continue;
-        }
-        try {
-          if (tasks[t]->run(false) == ForwardExec::Status::kDone) {
-            done[t] = 1;
-            --remaining;
-            progressed = true;
-          } else if (tasks[t]->made_progress()) {
-            progressed = true;
-          }
-        } catch (...) {
-          errors[t] = std::current_exception();
-          abort_all();
-          done[t] = 1;
-          --remaining;
-          progressed = true;
-        }
-      }
-      DPIPE_ENSURE(progressed,
-                   "cooperative wave deadlocked: no task can progress");
-    }
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(devices);
-    for (int dev = 0; dev < devices; ++dev) {
-      threads.emplace_back([&, dev] {
-        try {
-          ForwardExec(b, *problem_, replica, inputs, dev, S, M, per_micro,
-                      act, outputs)
-              .run(true);
-        } catch (...) {
-          errors[dev] = std::current_exception();
-          abort_all();
-        }
-      });
-    }
-    for (std::thread& t : threads) {
-      t.join();
-    }
+  std::vector<ForwardExec> tasks;
+  tasks.reserve(devices);
+  for (int dev = 0; dev < devices; ++dev) {
+    tasks.emplace_back(b, *problem_, replica, inputs, dev, S, M, per_micro,
+                       act, outputs);
   }
-  for (const std::exception_ptr& error : errors) {
+  for (const std::exception_ptr& error : run_wave(tasks, abort_all)) {
     if (error != nullptr) {
       std::rethrow_exception(error);
     }
@@ -1051,11 +1030,9 @@ void ProgramInterpreter::run_preamble(const Tensor& cond_raw, Tensor& cond,
   if (log != nullptr) {
     log->resize(devices);
   }
-  std::vector<std::exception_ptr> errors(
-      static_cast<std::size_t>(replicas) * devices);
   // Preamble tasks are fully independent (disjoint row slices, no
-  // channels), so the serial scheduler just runs them inline in task
-  // order — same results, no spawns.
+  // channels): each finishes in its first run() call, and a failure has
+  // nothing to abort.
   const auto run_device = [&](int g, int dev) {
     const int row_offset = g * b.rows_per_replica();
     int frozen_seen = 0;
@@ -1083,37 +1060,14 @@ void ProgramInterpreter::run_preamble(const Tensor& cond_raw, Tensor& cond,
       }
     }
   };
-  if (wave_exec() == WaveExec::kSerial) {
-    for (int g = 0; g < replicas; ++g) {
-      for (int dev = 0; dev < devices; ++dev) {
-        try {
-          run_device(g, dev);
-        } catch (...) {
-          errors[static_cast<std::size_t>(g) * devices + dev] =
-              std::current_exception();
-        }
-      }
-    }
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(errors.size());
-    for (int g = 0; g < replicas; ++g) {
-      for (int dev = 0; dev < devices; ++dev) {
-        threads.emplace_back([&, g, dev] {
-          try {
-            run_device(g, dev);
-          } catch (...) {
-            errors[static_cast<std::size_t>(g) * devices + dev] =
-                std::current_exception();
-          }
-        });
-      }
-    }
-    for (std::thread& t : threads) {
-      t.join();
+  std::vector<OneShotTask> tasks;
+  tasks.reserve(static_cast<std::size_t>(replicas) * devices);
+  for (int g = 0; g < replicas; ++g) {
+    for (int dev = 0; dev < devices; ++dev) {
+      tasks.push_back({[&run_device, g, dev] { run_device(g, dev); }});
     }
   }
-  for (const std::exception_ptr& error : errors) {
+  for (const std::exception_ptr& error : run_wave(tasks, [] {})) {
     if (error != nullptr) {
       std::rethrow_exception(error);
     }

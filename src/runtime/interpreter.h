@@ -25,6 +25,11 @@ enum class WaveExec { kAuto, kThreads, kSerial };
 
 [[nodiscard]] const char* wave_exec_name(WaveExec mode);
 
+/// Parses a DPIPE_WAVE_EXEC value: "threads", "serial", or "auto" (also
+/// the empty string). Throws std::invalid_argument on anything else, so a
+/// mistyped value fails loudly instead of silently meaning "auto".
+[[nodiscard]] WaveExec parse_wave_exec(const std::string& value);
+
 /// Process-wide wave scheduler selection (default kAuto). wave_exec()
 /// returns the resolved choice — never kAuto.
 [[nodiscard]] WaveExec wave_exec();

@@ -14,9 +14,8 @@ namespace detail {
 namespace {
 
 /// Work below this cost (caller units: FLOPs for matmuls, bytes moved for
-/// elementwise sweeps) runs single-threaded even when a parallel mode asks
-/// for fan-out; the threshold depends only on the caller's shape, so the
-/// dispatch decision is deterministic.
+/// elementwise sweeps) runs single-threaded; the threshold depends only on
+/// the caller's shape, so the dispatch decision is deterministic.
 constexpr std::int64_t kParallelCostThreshold = 1 << 20;
 
 /// The shared intra-op pool. parallel_for is not reentrant and the pipeline
@@ -58,9 +57,9 @@ std::atomic<std::uint64_t> g_eltwise_calls{0};
 
 }  // namespace
 
-void intraop_run_tasks(int num_tasks, std::int64_t cost, bool want_parallel,
+void intraop_run_tasks(int num_tasks, std::int64_t cost,
                        void (*fn)(void* ctx, int task), void* ctx) {
-  if (want_parallel && num_tasks > 1 && cost >= kParallelCostThreshold &&
+  if (num_tasks > 1 && cost >= kParallelCostThreshold &&
       !in_parallel_region()) {
     IntraOpPool& kp = intraop_pool();
     std::unique_lock<std::mutex> lock(kp.run_mutex, std::try_to_lock);

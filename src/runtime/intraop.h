@@ -22,21 +22,20 @@
 namespace dpipe::rt::detail {
 
 /// Runs fn(ctx, t) for every task t in [0, num_tasks), fanning out over the
-/// shared intra-op pool when want_parallel is set, the work is above the
-/// internal FLOP/byte threshold embodied in `cost` (callers pass their
-/// total work estimate; the pool skips the fan-out for small `cost`), and
-/// the pool is neither nested inside another batch nor busy. Otherwise the
+/// shared intra-op pool when the work is above the internal FLOP/byte
+/// threshold embodied in `cost` (callers pass their total work estimate;
+/// the pool skips the fan-out for small `cost`) and the pool is wider than
+/// one thread, neither nested inside another batch nor busy. Otherwise the
 /// tasks run inline on the calling thread, in ascending order.
-void intraop_run_tasks(int num_tasks, std::int64_t cost, bool want_parallel,
+void intraop_run_tasks(int num_tasks, std::int64_t cost,
                        void (*fn)(void* ctx, int task), void* ctx);
 
 /// Type-safe wrapper: no allocation, the callable lives on the caller's
 /// stack for the duration of the batch.
 template <typename Fn>
-void intraop_for_each_task(int num_tasks, std::int64_t cost,
-                           bool want_parallel, const Fn& fn) {
+void intraop_for_each_task(int num_tasks, std::int64_t cost, const Fn& fn) {
   intraop_run_tasks(
-      num_tasks, cost, want_parallel,
+      num_tasks, cost,
       [](void* ctx, int t) { (*static_cast<const Fn*>(ctx))(t); },
       const_cast<void*>(static_cast<const void*>(&fn)));
 }

@@ -8,12 +8,10 @@ namespace dpipe::rt {
 /// decided per process from CPUID + the DPIPE_SIMD environment variable —
 /// so one binary runs correctly on any x86-64 machine.
 ///
-/// Exactness contract: in the exact kernel modes (kBlocked,
-/// kBlockedParallel) every SIMD level produces bit-identical results — the
-/// vector lanes are distinct output columns and each output element keeps
-/// the single ascending inner-dimension accumulation chain, so the level
-/// only changes how many columns advance per instruction. KernelMode::kFast
-/// results may differ across levels (FMA contraction).
+/// Exactness contract: every SIMD level produces bit-identical results —
+/// the vector lanes are distinct output columns and each output element
+/// keeps the single ascending inner-dimension accumulation chain, so the
+/// level only changes how many columns advance per instruction.
 enum class SimdLevel {
   kScalar,  ///< Portable fallback (compiled with the base ISA).
   kAvx2,    ///< AVX2 + FMA microkernels (requires CPU and build support).

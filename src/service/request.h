@@ -29,9 +29,9 @@ struct PlanRequest {
 ///   - the wire encoding of a request (it parses back losslessly).
 ///
 /// Result-INVISIBLE options are deliberately excluded so they cannot
-/// fragment the cache: search_threads, parallel_work_threshold,
-/// enable_stage_cache, and cache_store all leave the selected plan
-/// bit-identical by the planner's determinism contract.
+/// fragment the cache: search_threads, parallel_work_threshold, and
+/// cache_store all leave the selected plan bit-identical by the planner's
+/// determinism contract.
 /// enable_pruning IS included: it changes the `explored` list. Empty
 /// candidate lists are resolved to their defaults first
 /// (Planner::apply_default_candidates), so "defaulted" and
@@ -40,7 +40,9 @@ struct PlanRequest {
 
 /// Parses canonical_request_text output (excluded options take their
 /// defaults). canonical_request_text(parse_request_text(t)) == t.
-/// Throws std::invalid_argument on malformed input.
+/// Throws std::invalid_argument on malformed input, including any other
+/// format version: a stored v1 request (which still carried the retired
+/// one_replica= alias) is rejected, so its store entry is dropped.
 [[nodiscard]] PlanRequest parse_request_text(const std::string& text);
 
 /// Fingerprint of canonical_request_text(request).

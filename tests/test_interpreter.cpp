@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -219,47 +220,102 @@ TEST(Interpreter, CrossIterationBitExactWithAdam) {
   }
 }
 
+/// Restores the default wave-executor selection on scope exit.
+struct WaveExecGuard {
+  ~WaveExecGuard() { set_wave_exec(WaveExec::kAuto); }
+};
+
+/// Trains `cfg` (on `program` when given, else the trainer's own lowering)
+/// once per wave executor and requires bit-identical trajectories and
+/// identical per-device execution logs.
+void expect_serial_matches_threaded(const DdpmProblem& problem,
+                                    const PipelineRtConfig& cfg,
+                                    const InstructionProgram* program,
+                                    int iterations) {
+  const WaveExecGuard guard;
+  const auto train = [&](WaveExec exec) {
+    set_wave_exec(exec);
+    EXPECT_EQ(wave_exec(), exec);
+    auto trainer = program != nullptr
+                       ? std::make_unique<PipelineTrainer>(problem, cfg,
+                                                           *program)
+                       : std::make_unique<PipelineTrainer>(problem, cfg);
+    trainer->train(iterations);
+    return trainer;
+  };
+  const auto threaded = train(WaveExec::kThreads);
+  const auto serial = train(WaveExec::kSerial);
+  EXPECT_FLOAT_EQ(params_diff(threaded->snapshot_params(),
+                              serial->snapshot_params()),
+                  0.0f);
+  ASSERT_EQ(threaded->losses().size(), serial->losses().size());
+  for (std::size_t i = 0; i < threaded->losses().size(); ++i) {
+    EXPECT_DOUBLE_EQ(threaded->losses()[i], serial->losses()[i]);
+  }
+  EXPECT_EQ(threaded->execution_log(), serial->execution_log());
+}
+
 TEST(Interpreter, WaveExecSerialMatchesThreadedBitExact) {
   // The cooperative serial scheduler is a pure scheduling change: with
   // self-conditioning (forward waves), data parallelism (allreduce
   // barriers), Adam, and cross-iteration frozen overlap all active, the
   // serial and threaded executions produce bit-identical trajectories and
   // identical per-device execution logs.
-  struct WaveExecGuard {
-    ~WaveExecGuard() { set_wave_exec(WaveExec::kAuto); }
-  } guard;
-  DdpmConfig dc;
-  dc.self_conditioning = true;
-  dc.self_cond_prob = 0.5;
-  const DdpmProblem problem(dc);
-  PipelineRtConfig cfg;
-  cfg.num_stages = 3;
-  cfg.num_microbatches = 4;
-  cfg.data_parallel_degree = 2;
-  cfg.global_batch = 16;
-  cfg.cross_iteration = true;
-  cfg.use_adam = true;
-  cfg.lr = 0.01f;
-  cfg.record_execution = true;
-
-  set_wave_exec(WaveExec::kThreads);
-  EXPECT_EQ(wave_exec(), WaveExec::kThreads);
-  PipelineTrainer threaded(problem, cfg);
-  threaded.train(8);
-
-  set_wave_exec(WaveExec::kSerial);
-  EXPECT_EQ(wave_exec(), WaveExec::kSerial);
-  PipelineTrainer serial(problem, cfg);
-  serial.train(8);
-
-  EXPECT_FLOAT_EQ(params_diff(threaded.snapshot_params(),
-                              serial.snapshot_params()),
-                  0.0f);
-  ASSERT_EQ(threaded.losses().size(), serial.losses().size());
-  for (std::size_t i = 0; i < threaded.losses().size(); ++i) {
-    EXPECT_DOUBLE_EQ(threaded.losses()[i], serial.losses()[i]);
+  {
+    DdpmConfig dc;
+    dc.self_conditioning = true;
+    dc.self_cond_prob = 0.5;
+    const DdpmProblem problem(dc);
+    PipelineRtConfig cfg;
+    cfg.num_stages = 3;
+    cfg.num_microbatches = 4;
+    cfg.data_parallel_degree = 2;
+    cfg.global_batch = 16;
+    cfg.cross_iteration = true;
+    cfg.use_adam = true;
+    cfg.lr = 0.01f;
+    cfg.record_execution = true;
+    expect_serial_matches_threaded(problem, cfg, nullptr, 8);
   }
-  EXPECT_EQ(threaded.execution_log(), serial.execution_log());
+  {
+    // The wide interleaved shape: hidden 256, two devices each owning two
+    // virtual stages, fed through the external-program constructor, with
+    // Adam and kernels large enough to fan out over the intra-op pool.
+    DdpmConfig dc;
+    dc.hidden = 256;
+    dc.depth = 6;
+    const DdpmProblem problem(dc);
+    TrainerLoweringSpec spec;
+    spec.num_stages = 2;
+    spec.num_microbatches = 4;
+    spec.data_parallel_degree = 2;
+    spec.global_batch = 256;
+    spec.cross_iteration = true;
+    spec.num_modules = static_cast<int>(problem.make_backbone()->size());
+    spec.family = ScheduleFamily::kInterleaved;
+    spec.vstages = 2;
+    const TrainerLowering lowering = lower_trainer_program(spec);
+    PipelineRtConfig cfg;
+    cfg.num_stages = 2;
+    cfg.num_microbatches = 4;
+    cfg.data_parallel_degree = 2;
+    cfg.global_batch = 256;
+    cfg.cross_iteration = true;
+    cfg.use_adam = true;
+    cfg.lr = 1e-3f;
+    cfg.record_execution = true;
+    expect_serial_matches_threaded(problem, cfg, &lowering.program, 4);
+  }
+}
+
+TEST(Interpreter, ParseWaveExecRejectsUnknownValues) {
+  EXPECT_EQ(parse_wave_exec("threads"), WaveExec::kThreads);
+  EXPECT_EQ(parse_wave_exec("serial"), WaveExec::kSerial);
+  EXPECT_EQ(parse_wave_exec("auto"), WaveExec::kAuto);
+  EXPECT_EQ(parse_wave_exec(""), WaveExec::kAuto);
+  for (const char* bad : {"thread", "Serial", "serial ", "1", "none"}) {
+    EXPECT_THROW((void)parse_wave_exec(bad), std::invalid_argument) << bad;
+  }
 }
 
 TEST(Interpreter, RejectsCorruptedPrograms) {

@@ -89,7 +89,6 @@ TEST(PlanFingerprint, ResultInvisibleOptionsDoNotFragmentTheCache) {
   PlanRequest tuned = base;
   tuned.options.search_threads = 7;
   tuned.options.parallel_work_threshold = 0.0;
-  tuned.options.enable_stage_cache = false;
   EXPECT_EQ(canonical_request_text(base), canonical_request_text(tuned));
   // enable_pruning changes the explored list, so it IS identity.
   PlanRequest pruned = base;
@@ -119,6 +118,78 @@ TEST(PlanFingerprint, HexRoundTrips) {
   EXPECT_EQ(fp.hex().size(), 32u);
   EXPECT_EQ(Fingerprint::from_hex(fp.hex()), fp);
   EXPECT_THROW((void)Fingerprint::from_hex("nope"), std::invalid_argument);
+}
+
+TEST(PlanFingerprint, BindableRequestHasOneFingerprint) {
+  // One spelling of the runtime-bindable predicate, so one cache entry: the
+  // request as sent and the options the planner actually runs with
+  // canonicalize identically.
+  PlanRequest bindable = small_request();
+  bindable.options.require_bindable_placement = true;
+  const std::string text = canonical_request_text(bindable);
+  EXPECT_EQ(text.rfind("dpipe-plan-request v2\n", 0), 0u);
+  EXPECT_EQ(text.find("one_replica="), std::string::npos);
+  EXPECT_NE(text.find(" bindable=1 "), std::string::npos);
+  PlanRequest as_planned = bindable;
+  as_planned.options =
+      Planner(bindable.model, bindable.cluster, bindable.options).options();
+  EXPECT_EQ(request_fingerprint(as_planned), request_fingerprint(bindable));
+  EXPECT_EQ(request_fingerprint(parse_request_text(text)),
+            request_fingerprint(bindable));
+  EXPECT_NE(request_fingerprint(bindable),
+            request_fingerprint(small_request()));
+}
+
+/// Replaces the first occurrence of `from` in the canonical text of
+/// small_request() with `to`: a well-formed payload with one crafted field.
+std::string crafted_request(const std::string& from, const std::string& to) {
+  std::string text = canonical_request_text(small_request());
+  const std::size_t pos = text.find(from);
+  EXPECT_NE(pos, std::string::npos) << from;
+  return pos == std::string::npos ? text : text.replace(pos, from.size(), to);
+}
+
+/// parse_request_text must reject `text` with the library's own
+/// std::invalid_argument whose message mentions `needle`.
+void expect_rejected(const std::string& text, const std::string& needle) {
+  try {
+    (void)parse_request_text(text);
+    ADD_FAILURE() << "accepted a malformed request (" << needle << ")";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(PlanFingerprint, RejectsNonNumericOptionTokens) {
+  expect_rejected(crafted_request("global_batch=128", "global_batch=abc"),
+                  "global_batch=abc");
+  // Trailing bytes and out-of-range or non-finite values are just as
+  // malformed as letters.
+  expect_rejected(crafted_request("global_batch=128", "global_batch=128x"),
+                  "global_batch=128x");
+  expect_rejected(crafted_request("global_batch=128", "global_batch=1e999"),
+                  "global_batch=1e999");
+  expect_rejected(crafted_request("global_batch=128", "global_batch=nan"),
+                  "global_batch=nan");
+  expect_rejected(crafted_request(" fill=1", " fill=2"), "fill=");
+}
+
+TEST(PlanFingerprint, RejectsCandidateCountsBeyondThePayload) {
+  // A huge count must fail before it sizes a vector, not throw bad_alloc.
+  expect_rejected(crafted_request("stage_candidates 1 ",
+                                  "stage_candidates 4000000000000 "),
+                  "stage_candidates count exceeds the payload");
+  expect_rejected(crafted_request("stage_candidates 1 ",
+                                  "stage_candidates -1 "),
+                  "stage_candidates");
+}
+
+TEST(PlanFingerprint, RejectsOutOfRangeScheduleFamily) {
+  for (const char* family : {"family=4", "family=-1", "family=1.5",
+                             "family=99999999999"}) {
+    expect_rejected(crafted_request("family=0", family), "family=");
+  }
 }
 
 // --- StageCostStore lease protocol ------------------------------------------
@@ -319,6 +390,37 @@ TEST(PlanStore, CorruptEntriesAreDroppedAndDeleted) {
   EXPECT_EQ(report.plans.size(), 0u);
   EXPECT_EQ(report.corrupt_dropped, 1u);
   EXPECT_EQ(store.size(), 0u);  // Deleted from disk, not just skipped.
+}
+
+TEST(PlanStore, VersionOneRequestEntriesAreDroppedAsStale) {
+  // A store written before the request format dropped the one_replica=
+  // alias holds v1 request text. Its fingerprints are self-consistent, but
+  // the text no longer parses, so the entry is dropped like any stale one
+  // and re-planned on demand.
+  CachedPlan entry = real_entry();
+  std::string v1 = entry.request_text;
+  const std::string header = "dpipe-plan-request v2\n";
+  ASSERT_EQ(v1.rfind(header, 0), 0u);
+  v1.replace(0, header.size(), "dpipe-plan-request v1\n");
+  const std::size_t mem = v1.find(" int_micro=");
+  ASSERT_NE(mem, std::string::npos);
+  v1.insert(mem, " one_replica=0");
+  entry.request_text = v1;
+  entry.fingerprint = fingerprint_bytes(v1);
+
+  std::ostringstream bytes;
+  save_plan_entry(entry, bytes);
+  std::istringstream in(bytes.str());
+  EXPECT_THROW((void)load_plan_entry(in), std::invalid_argument);
+
+  PlanStore store(scratch_dir("store_v1_request"));
+  store.put(entry);
+  store.put(real_entry());
+  const PlanStore::LoadReport report = store.load_all();
+  EXPECT_EQ(report.corrupt_dropped, 1u);
+  ASSERT_EQ(report.plans.size(), 1u);
+  expect_entries_identical(real_entry(), *report.plans[0]);
+  EXPECT_EQ(store.size(), 1u);
 }
 
 TEST(PlanStore, InvalidateClusterRemovesMatchingFiles) {

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -331,13 +332,12 @@ TEST(StageCostCache, BidirectionalWithCacheIsBitIdentical) {
 
 // --- Planner search parity --------------------------------------------------
 
-Plan plan_with(const ModelDesc& model, int threads, bool cache, bool pruning,
+Plan plan_with(const ModelDesc& model, int threads, bool pruning,
                double global_batch = 128.0,
                double parallel_work_threshold = 0.0) {
   PlannerOptions opts;
   opts.global_batch = global_batch;
   opts.search_threads = threads;
-  opts.enable_stage_cache = cache;
   opts.enable_pruning = pruning;
   // 0 = always fan out; the parity tests below pin the execution width they
   // assert on. AdaptiveGranularity* cover the default threshold.
@@ -357,9 +357,9 @@ void expect_plans_identical(const Plan& a, const Plan& b) {
 
 TEST(PlannerSearch, BitIdenticalAcrossThreadCounts) {
   const ModelDesc model = make_stable_diffusion_v21();
-  const Plan seq = plan_with(model, 1, true, false);
-  const Plan two = plan_with(model, 2, true, false);
-  const Plan auto_sized = plan_with(model, 0, true, false);
+  const Plan seq = plan_with(model, 1, false);
+  const Plan two = plan_with(model, 2, false);
+  const Plan auto_sized = plan_with(model, 0, false);
   expect_plans_identical(seq, two);
   expect_plans_identical(seq, auto_sized);
   EXPECT_EQ(two.search.threads, 2);
@@ -367,9 +367,14 @@ TEST(PlannerSearch, BitIdenticalAcrossThreadCounts) {
 }
 
 TEST(PlannerSearch, BitIdenticalWithAndWithoutStageCache) {
+  // A grid under the work threshold takes the plain sequential loop, which
+  // runs without any stage cache; a forced fan-out (threshold 0) memoizes
+  // every evaluation. The plan must not notice.
   const ModelDesc model = make_stable_diffusion_v21();
-  const Plan with = plan_with(model, 4, true, false);
-  const Plan without = plan_with(model, 4, false, false);
+  const Plan with = plan_with(model, 4, false);
+  const Plan without = plan_with(model, 4, false, 128.0,
+                                 std::numeric_limits<double>::infinity());
+  EXPECT_EQ(without.search.threads, 1);
   expect_plans_identical(with, without);
   EXPECT_GT(with.search.cache_hits, 0u);
   EXPECT_EQ(without.search.cache_hits, 0u);
@@ -378,8 +383,8 @@ TEST(PlannerSearch, BitIdenticalWithAndWithoutStageCache) {
 
 TEST(PlannerSearch, CdmBidirectionalParity) {
   const ModelDesc model = make_cdm_lsun();
-  const Plan seq = plan_with(model, 1, true, false);
-  const Plan par = plan_with(model, 4, true, false);
+  const Plan seq = plan_with(model, 1, false);
+  const Plan par = plan_with(model, 4, false);
   expect_plans_identical(seq, par);
   EXPECT_GT(par.search.cache_hits, 0u);
 }
@@ -387,8 +392,8 @@ TEST(PlannerSearch, CdmBidirectionalParity) {
 TEST(PlannerSearch, PruningKeepsWinnerAndProgramExact) {
   for (const ModelDesc& model :
        {make_stable_diffusion_v21(), make_cdm_lsun()}) {
-    const Plan baseline = plan_with(model, 2, true, false);
-    const Plan pruned = plan_with(model, 2, true, true);
+    const Plan baseline = plan_with(model, 2, false);
+    const Plan pruned = plan_with(model, 2, true);
     // The winner and its lowered program are exactly preserved.
     EXPECT_TRUE(baseline.config == pruned.config);
     EXPECT_EQ(program_to_string(baseline.program),
@@ -428,10 +433,10 @@ TEST(PlannerSearch, AdaptiveGranularityRunsSmallGridsSequentially) {
   // keeps it sequential even when threads were requested. The plan itself
   // must be bit-identical to a forced-parallel search.
   const ModelDesc model = make_stable_diffusion_v21();
-  const Plan adaptive = plan_with(model, 4, true, false, 128.0,
+  const Plan adaptive = plan_with(model, 4, false, 128.0,
                                   PlannerOptions{}.parallel_work_threshold);
   EXPECT_EQ(adaptive.search.threads, 1);
-  const Plan forced = plan_with(model, 4, true, false, 128.0, 0.0);
+  const Plan forced = plan_with(model, 4, false, 128.0, 0.0);
   EXPECT_EQ(forced.search.threads, 4);
   expect_plans_identical(adaptive, forced);
 }
@@ -440,10 +445,10 @@ TEST(PlannerSearch, AdaptiveGranularityKeepsLargeGridsParallel) {
   // CDM's bidirectional grid is an order of magnitude more work per combo;
   // the same default threshold leaves it parallel.
   const ModelDesc model = make_cdm_lsun();
-  const Plan adaptive = plan_with(model, 4, true, false, 128.0,
+  const Plan adaptive = plan_with(model, 4, false, 128.0,
                                   PlannerOptions{}.parallel_work_threshold);
   EXPECT_EQ(adaptive.search.threads, 4);
-  expect_plans_identical(adaptive, plan_with(model, 4, true, false));
+  expect_plans_identical(adaptive, plan_with(model, 4, false));
 }
 
 TEST(PlannerSearch, ComboWorkEstimateScalesWithGridShape) {
@@ -489,7 +494,7 @@ TEST(PlannerSearch, RuntimeBindableRestrictionsFilterTheGrid) {
   const ModelDesc model = make_stable_diffusion_v21();
   PlannerOptions opts;
   opts.global_batch = 128.0;
-  opts.one_replica_per_stage = true;
+  opts.require_bindable_placement = true;
   opts.integer_microbatches = true;
   const Plan plan = Planner(model, make_p4de_cluster(1), opts).plan();
   for (const PlanConfig& c : plan.explored) {
@@ -502,14 +507,14 @@ TEST(PlannerSearch, RuntimeBindableRestrictionsFilterTheGrid) {
   }
   // The restriction strictly shrinks the explored grid.
   PlannerOptions full = opts;
-  full.one_replica_per_stage = false;
+  full.require_bindable_placement = false;
   full.integer_microbatches = false;
   const Plan wide = Planner(model, make_p4de_cluster(1), full).plan();
   EXPECT_GT(wide.explored.size(), plan.explored.size());
 }
 
 TEST(PlannerSearch, StatsAndWallTimesPopulated) {
-  const Plan plan = plan_with(make_stable_diffusion_v21(), 0, true, false);
+  const Plan plan = plan_with(make_stable_diffusion_v21(), 0, false);
   EXPECT_GE(plan.search.threads, 1);
   EXPECT_GT(plan.search.combos_total, 0);
   EXPECT_EQ(plan.search.combos_evaluated, plan.search.combos_total);

@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "runtime/dp_trainer.h"
+#include "runtime/interpreter.h"
 #include "runtime/pipeline_exec.h"
 
 namespace dpipe::rt {
@@ -352,17 +353,13 @@ TEST(Channel, CloseWakesBlockedConsumer) {
   EXPECT_EQ(got, std::nullopt);
 }
 
-TEST(Channel, PopForTimesOutWithoutProducer) {
-  Channel<int> ch;
-  EXPECT_EQ(ch.pop_for(5.0), std::nullopt);
-  EXPECT_TRUE(ch.push(7));
-  EXPECT_EQ(ch.pop_for(5.0), 7);
-}
-
 TEST(PipelineTrainer, StageFailurePropagatesWithoutHanging) {
-  // A stage thread that dies mid-wave must abort the whole wave cleanly:
-  // peers drain out of their blocking pops, every thread joins, and the
-  // failure escapes train() instead of deadlocking the trainer.
+  // A stage task that dies mid-wave must abort the whole wave cleanly under
+  // either wave executor: peers drain out of their pops, every task ends,
+  // and the failure escapes train() instead of deadlocking the trainer.
+  struct WaveExecGuard {
+    ~WaveExecGuard() { set_wave_exec(WaveExec::kAuto); }
+  } guard;
   const DdpmProblem problem(DdpmConfig{});
   PipelineRtConfig cfg;
   cfg.num_stages = 3;
@@ -371,11 +368,16 @@ TEST(PipelineTrainer, StageFailurePropagatesWithoutHanging) {
   cfg.fault.iteration = 2;  // Mid-training, mid-wave.
   cfg.fault.stage = 1;
   cfg.fault.micro = 2;
-  PipelineTrainer trainer(problem, cfg);
-  EXPECT_THROW(trainer.train(10), StageFailure);
-  EXPECT_TRUE(trainer.failed());
-  // Poisoned until restored: further training is refused, not wedged.
-  EXPECT_THROW(trainer.train(1), std::invalid_argument);
+  for (const WaveExec exec : {WaveExec::kThreads, WaveExec::kSerial}) {
+    SCOPED_TRACE(wave_exec_name(exec));
+    set_wave_exec(exec);
+    PipelineTrainer trainer(problem, cfg);
+    EXPECT_THROW(trainer.train(10), StageFailure);
+    EXPECT_TRUE(trainer.failed());
+    EXPECT_EQ(trainer.iteration(), 2);
+    // Poisoned until restored: further training is refused, not wedged.
+    EXPECT_THROW(trainer.train(1), std::invalid_argument);
+  }
 }
 
 TEST(PipelineTrainer, FirstAndLastStageFailuresAlsoUnwindCleanly) {

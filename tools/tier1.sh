@@ -6,7 +6,9 @@
 # determinism tests, the kernel/pool substrate tests (row-block fan-out,
 # concurrent TensorPool), and the plan-service suites (single-flight cache,
 # stage-cost leases, concurrent request determinism), ending with a
-# socket-level request-storm smoke of dpipe_plan_serve.
+# socket-level request-storm smoke of dpipe_plan_serve, and finally the
+# repository benchmark's smoke test (dpbench/), which builds the benchmark
+# from these sources so an API it uses cannot be cut unnoticed.
 # Run from the repository root.
 set -euo pipefail
 
@@ -22,7 +24,7 @@ echo "== tier-1: scalar-forced kernel pass (DPIPE_SIMD=scalar) =="
 # dispatch level to scalar and rerun the kernel, pool, SIMD, and trajectory
 # suites against it.
 DPIPE_SIMD=scalar ./build/tests/dpipe_tests \
-  --gtest_filter='Kernels.*:TensorPool.*:Trajectory.*:RngSeed.*:SimdDispatch.*:SimdParity.*:FastMode.*:Roofline.*:Eltwise*'
+  --gtest_filter='Kernels.*:TensorPool.*:Trajectory.*:RngSeed.*:SimdDispatch.*:SimdParity.*:Roofline.*:Eltwise*'
 
 echo "== tier-1: ThreadSanitizer build (runtime + fault + service tests) =="
 cmake -B build-tsan -S . -DDPIPE_SANITIZE=thread
@@ -32,7 +34,7 @@ cmake --build build-tsan -j"$(nproc)" --target dpipe_tests
 # interleavings for TSan to check — force the threaded path here.
 TSAN_OPTIONS="halt_on_error=1" DPIPE_WAVE_EXEC=threads \
   ./build-tsan/tests/dpipe_tests \
-  --gtest_filter='Channel.*:PipelineTrainer.*:Equivalence.*:Fault.*:ParallelFor.*:PlannerSearch.*:Kernels.*:TensorPool.*:Trajectory.*:RngSeed.*:SimdDispatch.*:SimdParity.*:FastMode.*:Interpreter.*:Parity.*:Interleaved.*:Elastic.*:Reshard.*:CheckpointIo.*:PlanFingerprint.*:StageCostStore.*:PlanCache.*:PlanStore.*:PlanService.*:PlanProtocol.*:Eltwise*'
+  --gtest_filter='Channel.*:PipelineTrainer.*:Equivalence.*:Fault.*:ParallelFor.*:PlannerSearch.*:Kernels.*:TensorPool.*:Trajectory.*:RngSeed.*:SimdDispatch.*:SimdParity.*:Interpreter.*:Parity.*:Interleaved.*:Elastic.*:Reshard.*:CheckpointIo.*:PlanFingerprint.*:StageCostStore.*:PlanCache.*:PlanStore.*:PlanService.*:PlanProtocol.*:Eltwise*'
 
 echo "== tier-1: interleaved schedule smoke (both wave-executor modes) =="
 # The interleaved family exercises multi-virtual-stage device timelines on
@@ -70,5 +72,8 @@ cat "$STORM_DIR/serve.log"
 grep -q "cache hit" "$STORM_DIR/serve.log"
 grep -q "served from plan cache\|planned by server" "$STORM_DIR/client1.log"
 rm -rf "$STORM_DIR"
+
+echo "== tier-1: benchmark smoke (dpbench builds, runs, gates pass) =="
+python3 dpbench/test_smoke.py
 
 echo "tier-1 OK"
