@@ -492,4 +492,43 @@ EngineResult ExecutionEngine::run(const InstructionProgram& program,
   return result;
 }
 
+std::vector<std::vector<std::string>> timeline_op_signatures(
+    const Schedule& timelines) {
+  std::vector<std::vector<std::string>> signatures(timelines.devices.size());
+  for (std::size_t dev = 0; dev < timelines.devices.size(); ++dev) {
+    for (const PipelineOp& op : timelines.devices[dev].ops) {
+      Instruction instr;
+      switch (op.kind) {
+        case OpKind::kLoad:
+          instr.kind = InstrKind::kLoadMicroBatch;
+          break;
+        case OpKind::kForward:
+          instr.kind = InstrKind::kForward;
+          break;
+        case OpKind::kBackward:
+          instr.kind = InstrKind::kBackward;
+          break;
+        case OpKind::kFrozenForward:
+        case OpKind::kFrozenForwardPartial:
+        case OpKind::kLeftoverForward:
+          instr.kind = InstrKind::kFrozenForward;
+          break;
+        case OpKind::kOptimizer:
+          instr.kind = InstrKind::kOptimizerStep;
+          break;
+        case OpKind::kGradSync:
+          continue;  // Link op: occupies no device.
+      }
+      instr.backbone = op.backbone;
+      instr.stage = op.stage;
+      instr.micro = op.micro;
+      instr.component = op.component;
+      instr.layer_begin = op.layer;
+      instr.layer_end = op.layer + 1;
+      signatures[dev].push_back(op_signature(instr));
+    }
+  }
+  return signatures;
+}
+
 }  // namespace dpipe

@@ -1,6 +1,8 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "cluster/comm_model.h"
 #include "core/instr/instructions.h"
@@ -75,5 +77,13 @@ class ExecutionEngine {
   const ProfileDb* db_;
   const CommModel* comm_;
 };
+
+/// Per-device op_signature() strings of the device-occupying ops in
+/// measured `timelines` (EngineResult::timelines), in timeline order; link
+/// ops are skipped. A timeline op records one frozen layer, so a frozen
+/// signature reads layer..layer+1 — exact for programs whose frozen
+/// placements cover one layer each (every trainer-lowered program).
+[[nodiscard]] std::vector<std::vector<std::string>> timeline_op_signatures(
+    const Schedule& timelines);
 
 }  // namespace dpipe

@@ -51,6 +51,11 @@ namespace dpipe {
 /// text embedder and the VAE encoder at 256x256.
 [[nodiscard]] ModelDesc make_dit_xl2();
 
+/// The zoo model the CLIs call `name`: sd21, controlnet, cdm_lsun,
+/// cdm_imagenet, cdm_imagenet_full, sdxl or dit. Throws
+/// std::invalid_argument for any other name.
+[[nodiscard]] ModelDesc make_model_by_name(const std::string& name);
+
 /// Synthetic single-backbone model for tests: `num_layers` trainable layers
 /// with deterministic pseudo-random sizes (seeded), one small frozen encoder
 /// of `num_frozen_layers` layers.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <functional>
 #include <map>
 #include <string>
@@ -103,27 +102,32 @@ class ReduceBarrier {
          kind == InstrKind::kOptimizerStep;
 }
 
-/// DPIPE_WAVE_EXEC resolution for WaveExec::kAuto: explicit env override,
-/// else serial exactly when the host has nothing to run threads on.
-[[nodiscard]] WaveExec resolve_wave_exec_auto() {
-  const char* env = std::getenv("DPIPE_WAVE_EXEC");
-  const WaveExec requested =
-      env != nullptr ? parse_wave_exec(env) : WaveExec::kAuto;
-  if (requested != WaveExec::kAuto) {
-    return requested;
-  }
-  return std::thread::hardware_concurrency() <= 1 ? WaveExec::kSerial
-                                                  : WaveExec::kThreads;
-}
-
 std::atomic<WaveExec> g_wave_exec{WaveExec::kAuto};
+
+/// The driver of one wave whose largest task is estimated at
+/// `max_task_flops`: the set_wave_exec override when one is set, else
+/// kAuto's rule (threads under ThreadSanitizer).
+[[nodiscard]] WaveExec wave_driver(double max_task_flops) {
+  const WaveExec forced = wave_exec();
+  if (forced != WaveExec::kAuto) {
+    return forced;
+  }
+#if defined(__SANITIZE_THREAD__)
+  (void)max_task_flops;
+  return WaveExec::kThreads;
+#else
+  static const unsigned hardware_threads =
+      std::thread::hardware_concurrency();
+  return detail::select_wave_exec(max_task_flops, hardware_threads);
+#endif
+}
 
 /// Outcome of one wave task's run() call.
 enum class TaskStatus { kBlocked, kDone };
 
-/// Runs one wave's tasks to completion under the selected WaveExec and
-/// returns each task's error (null if it finished cleanly), indexed like
-/// `tasks`. A task provides run(bool may_block) -> TaskStatus and
+/// Runs one wave's tasks to completion under wave_driver(max_task_flops)
+/// and returns each task's error (null if it finished cleanly), indexed
+/// like `tasks`. A task provides run(bool may_block) -> TaskStatus and
 /// made_progress(). kThreads gives every task its own thread, which calls
 /// run(true) once. kSerial round-robins run(false) on the calling thread:
 /// each call executes until the task's next channel pop or barrier would
@@ -132,9 +136,10 @@ enum class TaskStatus { kBlocked, kDone };
 /// dead producer; callers choose which recorded error to rethrow.
 template <typename Task, typename Abort>
 [[nodiscard]] std::vector<std::exception_ptr> run_wave(
-    std::vector<Task>& tasks, const Abort& abort_wave) {
+    std::vector<Task>& tasks, const Abort& abort_wave,
+    double max_task_flops) {
   std::vector<std::exception_ptr> errors(tasks.size());
-  if (wave_exec() == WaveExec::kThreads) {
+  if (wave_driver(max_task_flops) == WaveExec::kThreads) {
     std::vector<std::thread> threads;
     threads.reserve(tasks.size());
     const auto join_all = [&threads] {
@@ -192,6 +197,25 @@ template <typename Task, typename Abort>
                  "cooperative wave deadlocked: no task can progress");
   }
   return errors;
+}
+
+/// Largest parameter-element count any one device owns across its stages:
+/// the weight factor of a wave's largest task.
+[[nodiscard]] double max_device_params(const ProgramBinding& b,
+                                       Sequential& net) {
+  double most = 0.0;
+  for (int dev = 0; dev < b.program().group_size; ++dev) {
+    double params = 0.0;
+    for (const int s : b.stages_of_device(dev)) {
+      for (int i = b.module_begin(s); i < b.module_end(s); ++i) {
+        for (const Tensor* p : net.module(i).params()) {
+          params += static_cast<double>(p->numel());
+        }
+      }
+    }
+    most = std::max(most, params);
+  }
+  return most;
 }
 
 enum class PopOutcome { kOk, kWouldBlock, kAborted };
@@ -553,32 +577,17 @@ const char* wave_exec_name(WaveExec mode) {
   return "?";
 }
 
-WaveExec parse_wave_exec(const std::string& value) {
-  if (value == "auto" || value.empty()) {
-    return WaveExec::kAuto;
-  }
-  if (value == "threads") {
-    return WaveExec::kThreads;
-  }
-  if (value == "serial") {
-    return WaveExec::kSerial;
-  }
-  DPIPE_REQUIRE(false, "unknown DPIPE_WAVE_EXEC value '" + value +
-                           "' (expected threads, serial, or auto)");
-  return WaveExec::kAuto;  // Unreachable.
-}
-
-WaveExec wave_exec() {
-  const WaveExec mode = g_wave_exec.load(std::memory_order_relaxed);
-  if (mode != WaveExec::kAuto) {
-    return mode;
-  }
-  static const WaveExec resolved = resolve_wave_exec_auto();
-  return resolved;
-}
+WaveExec wave_exec() { return g_wave_exec.load(std::memory_order_relaxed); }
 
 void set_wave_exec(WaveExec mode) {
   g_wave_exec.store(mode, std::memory_order_relaxed);
+}
+
+WaveExec detail::select_wave_exec(double max_task_flops,
+                                  unsigned hardware_threads) {
+  return hardware_threads > 1 && max_task_flops >= kThreadedWaveMinTaskFlops
+             ? WaveExec::kThreads
+             : WaveExec::kSerial;
 }
 
 ProgramBinding::ProgramBinding(const InstructionProgram& program,
@@ -833,7 +842,11 @@ double ProgramInterpreter::train_wave(
       tasks.emplace_back(wave, g, dev);
     }
   }
-  const std::vector<std::exception_ptr> errors = run_wave(tasks, abort_all);
+  // Forward + backward is ~6 FLOPs per parameter element per row.
+  const double max_task_flops = 6.0 * per_micro * M *
+                                max_device_params(b, *replicas[0].net);
+  const std::vector<std::exception_ptr> errors =
+      run_wave(tasks, abort_all, max_task_flops);
   // Scan device-major, so one set of failures always rethrows one error.
   for (int dev = 0; dev < devices; ++dev) {
     for (int g = 0; g < G; ++g) {
@@ -1014,7 +1027,11 @@ std::vector<Tensor> ProgramInterpreter::forward_wave(
     tasks.emplace_back(b, *problem_, replica, inputs, dev, S, M, per_micro,
                        act, outputs);
   }
-  for (const std::exception_ptr& error : run_wave(tasks, abort_all)) {
+  // Forward only: ~2 FLOPs per parameter element per row.
+  const double max_task_flops =
+      2.0 * per_micro * M * max_device_params(b, *replica.net);
+  for (const std::exception_ptr& error :
+       run_wave(tasks, abort_all, max_task_flops)) {
     if (error != nullptr) {
       std::rethrow_exception(error);
     }
@@ -1067,7 +1084,13 @@ void ProgramInterpreter::run_preamble(const Tensor& cond_raw, Tensor& cond,
       tasks.push_back({[&run_device, g, dev] { run_device(g, dev); }});
     }
   }
-  for (const std::exception_ptr& error : run_wave(tasks, [] {})) {
+  // The encoder's two bias-free matmuls (cond_raw -> 2c -> c) over a
+  // replica's rows: the most one device can encode.
+  const DdpmConfig& c = problem_->config();
+  const double max_task_flops = 2.0 * b.rows_per_replica() * 2.0 *
+                                c.cond_dim * (c.cond_raw_dim + c.cond_dim);
+  for (const std::exception_ptr& error :
+       run_wave(tasks, [] {}, max_task_flops)) {
     if (error != nullptr) {
       std::rethrow_exception(error);
     }

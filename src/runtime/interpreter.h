@@ -18,22 +18,33 @@ namespace dpipe::rt {
 /// pop or allreduce barrier would block, then yields. Because every value
 /// is a pure function of the inputs (see ProgramInterpreter), the two
 /// schedules are bit-identical; kSerial simply deletes the per-wave thread
-/// spawn/join and context-switch cost, which dominates on single-CPU hosts.
-/// kAuto resolves from the DPIPE_WAVE_EXEC env var ("threads" | "serial" |
-/// "auto"), defaulting to kSerial iff hardware_concurrency() <= 1.
+/// spawn/join and context-switch cost, which dominates when tasks are small.
+/// kAuto picks per wave from the wave's own work (detail::select_wave_exec);
+/// ThreadSanitizer builds resolve kAuto to kThreads so their runs keep
+/// checking the threaded driver's interleavings.
 enum class WaveExec { kAuto, kThreads, kSerial };
 
 [[nodiscard]] const char* wave_exec_name(WaveExec mode);
 
-/// Parses a DPIPE_WAVE_EXEC value: "threads", "serial", or "auto" (also
-/// the empty string). Throws std::invalid_argument on anything else, so a
-/// mistyped value fails loudly instead of silently meaning "auto".
-[[nodiscard]] WaveExec parse_wave_exec(const std::string& value);
-
-/// Process-wide wave scheduler selection (default kAuto). wave_exec()
-/// returns the resolved choice — never kAuto.
+/// Process-wide wave scheduler override (default kAuto). wave_exec()
+/// returns the override, or kAuto when none is set.
 [[nodiscard]] WaveExec wave_exec();
 void set_wave_exec(WaveExec mode);
+
+namespace detail {
+
+/// Estimated FLOPs of a wave's largest task from which kAuto runs the
+/// threaded driver: inside the crossover band, roughly 0.5-1.5 M FLOPs per
+/// task, measured on a 4-core AVX2 host (DESIGN.md §13).
+inline constexpr double kThreadedWaveMinTaskFlops = 1e6;
+
+/// kAuto's rule: kThreads when the host has more than one hardware thread
+/// and the wave's largest task is estimated at kThreadedWaveMinTaskFlops
+/// or more, else kSerial.
+[[nodiscard]] WaveExec select_wave_exec(double max_task_flops,
+                                        unsigned hardware_threads);
+
+}  // namespace detail
 
 /// Integer row range [begin, end) within one replica's batch shard.
 struct RowRange {

@@ -114,40 +114,6 @@ float params_diff(const std::vector<rt::Tensor>& a,
   return worst;
 }
 
-/// op_signature of an engine timeline op (trainer-lowered programs carry
-/// single-layer frozen placements only).
-std::string timeline_signature(const PipelineOp& op) {
-  Instruction instr;
-  switch (op.kind) {
-    case OpKind::kLoad:
-      instr.kind = InstrKind::kLoadMicroBatch;
-      break;
-    case OpKind::kForward:
-      instr.kind = InstrKind::kForward;
-      break;
-    case OpKind::kBackward:
-      instr.kind = InstrKind::kBackward;
-      break;
-    case OpKind::kFrozenForward:
-    case OpKind::kFrozenForwardPartial:
-    case OpKind::kLeftoverForward:
-      instr.kind = InstrKind::kFrozenForward;
-      break;
-    case OpKind::kOptimizer:
-      instr.kind = InstrKind::kOptimizerStep;
-      break;
-    case OpKind::kGradSync:
-      return {};
-  }
-  instr.backbone = op.backbone;
-  instr.stage = op.stage;
-  instr.micro = op.micro;
-  instr.component = op.component;
-  instr.layer_begin = op.layer;
-  instr.layer_end = op.layer + 1;
-  return op_signature(instr);
-}
-
 TEST(Interleaved, ValidatorAcceptsAcrossGrid) {
   const ProgramValidator validator;
   const ModelDesc model = make_stable_diffusion_v21();
@@ -399,16 +365,10 @@ TEST(Interleaved, ThreeWayOpOrderParity) {
   eopts.data_parallel_degree = 2;
   eopts.record_timelines = true;
   const EngineResult result = ExecutionEngine(db, comm).run(l.program, eopts);
-  ASSERT_EQ(result.timelines.devices.size(), expected.size());
+  const auto engine_log = timeline_op_signatures(result.timelines);
+  ASSERT_EQ(engine_log.size(), expected.size());
   for (std::size_t dev = 0; dev < expected.size(); ++dev) {
-    std::vector<std::string> engine_log;
-    for (const PipelineOp& op : result.timelines.devices[dev].ops) {
-      std::string sig = timeline_signature(op);
-      if (!sig.empty()) {
-        engine_log.push_back(std::move(sig));
-      }
-    }
-    EXPECT_EQ(engine_log, expected[dev]) << "engine, device " << dev;
+    EXPECT_EQ(engine_log[dev], expected[dev]) << "engine, device " << dev;
   }
 }
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
@@ -29,40 +30,6 @@ float params_diff(const std::vector<Tensor>& a,
     worst = std::max(worst, max_abs_diff(a[i], b[i]));
   }
   return worst;
-}
-
-/// op_signature of an engine timeline op (trainer-lowered programs only
-/// carry single-layer frozen placements, so layer_begin+1 == layer_end).
-std::string timeline_signature(const PipelineOp& op) {
-  Instruction instr;
-  switch (op.kind) {
-    case OpKind::kLoad:
-      instr.kind = InstrKind::kLoadMicroBatch;
-      break;
-    case OpKind::kForward:
-      instr.kind = InstrKind::kForward;
-      break;
-    case OpKind::kBackward:
-      instr.kind = InstrKind::kBackward;
-      break;
-    case OpKind::kFrozenForward:
-    case OpKind::kFrozenForwardPartial:
-    case OpKind::kLeftoverForward:
-      instr.kind = InstrKind::kFrozenForward;
-      break;
-    case OpKind::kOptimizer:
-      instr.kind = InstrKind::kOptimizerStep;
-      break;
-    case OpKind::kGradSync:
-      return {};
-  }
-  instr.backbone = op.backbone;
-  instr.stage = op.stage;
-  instr.micro = op.micro;
-  instr.component = op.component;
-  instr.layer_begin = op.layer;
-  instr.layer_end = op.layer + 1;
-  return op_signature(instr);
 }
 
 TEST(Parity, RuntimeExecutionMatchesOccupancyTrace) {
@@ -120,16 +87,10 @@ TEST(Parity, SimEngineReplaysTheTrainerProgramInTheSameOrder) {
   const EngineResult result = ExecutionEngine(db, comm).run(l.program, eopts);
 
   const auto expected = occupancy_trace(l.program, eopts.iterations);
-  ASSERT_EQ(result.timelines.devices.size(), expected.size());
+  const auto engine_log = timeline_op_signatures(result.timelines);
+  ASSERT_EQ(engine_log.size(), expected.size());
   for (std::size_t dev = 0; dev < expected.size(); ++dev) {
-    std::vector<std::string> engine_log;
-    for (const PipelineOp& op : result.timelines.devices[dev].ops) {
-      std::string sig = timeline_signature(op);
-      if (!sig.empty()) {
-        engine_log.push_back(std::move(sig));
-      }
-    }
-    EXPECT_EQ(engine_log, expected[dev]) << "device " << dev;
+    EXPECT_EQ(engine_log[dev], expected[dev]) << "device " << dev;
   }
 }
 
@@ -308,14 +269,21 @@ TEST(Interpreter, WaveExecSerialMatchesThreadedBitExact) {
   }
 }
 
-TEST(Interpreter, ParseWaveExecRejectsUnknownValues) {
-  EXPECT_EQ(parse_wave_exec("threads"), WaveExec::kThreads);
-  EXPECT_EQ(parse_wave_exec("serial"), WaveExec::kSerial);
-  EXPECT_EQ(parse_wave_exec("auto"), WaveExec::kAuto);
-  EXPECT_EQ(parse_wave_exec(""), WaveExec::kAuto);
-  for (const char* bad : {"thread", "Serial", "serial ", "1", "none"}) {
-    EXPECT_THROW((void)parse_wave_exec(bad), std::invalid_argument) << bad;
+TEST(Interpreter, AutoWaveExecPicksDriverFromTaskWork) {
+  // kAuto threads a wave only when its largest task clears the measured
+  // crossover and the host has a second hardware thread to run it on.
+  const double k = detail::kThreadedWaveMinTaskFlops;
+  EXPECT_EQ(detail::select_wave_exec(0.0, 4), WaveExec::kSerial);
+  EXPECT_EQ(detail::select_wave_exec(std::nextafter(k, 0.0), 4),
+            WaveExec::kSerial);
+  EXPECT_EQ(detail::select_wave_exec(k, 4), WaveExec::kThreads);
+  EXPECT_EQ(detail::select_wave_exec(1e12, 2), WaveExec::kThreads);
+  // hardware_concurrency() reports 0 when it cannot tell.
+  for (const unsigned width : {0u, 1u}) {
+    EXPECT_EQ(detail::select_wave_exec(1e12, width), WaveExec::kSerial)
+        << width;
   }
+  EXPECT_EQ(wave_exec(), WaveExec::kAuto);  // No override by default.
 }
 
 TEST(Interpreter, RejectsCorruptedPrograms) {

@@ -118,5 +118,26 @@ TEST(Zoo, UniformModelIsUniform) {
   }
 }
 
+TEST(Zoo, ModelByNameResolvesEveryListedName) {
+  const struct {
+    const char* name;
+    ModelDesc (*make)();
+  } zoo[] = {{"sd21", make_stable_diffusion_v21},
+             {"controlnet", make_controlnet_v10},
+             {"cdm_lsun", make_cdm_lsun},
+             {"cdm_imagenet", make_cdm_imagenet},
+             {"cdm_imagenet_full", make_cdm_imagenet_full},
+             {"sdxl", make_sdxl_base},
+             {"dit", make_dit_xl2}};
+  for (const auto& entry : zoo) {
+    EXPECT_EQ(make_model_by_name(entry.name).name, entry.make().name)
+        << entry.name;
+  }
+  for (const char* bad : {"", "SD21", "sd21 ", "unet"}) {
+    EXPECT_THROW((void)make_model_by_name(bad), std::invalid_argument)
+        << bad;
+  }
+}
+
 }  // namespace
 }  // namespace dpipe

@@ -50,51 +50,6 @@
 
 namespace {
 
-dpipe::ModelDesc model_by_name(const std::string& name) {
-  using namespace dpipe;
-  if (name == "sd21") return make_stable_diffusion_v21();
-  if (name == "controlnet") return make_controlnet_v10();
-  if (name == "cdm_lsun") return make_cdm_lsun();
-  if (name == "cdm_imagenet") return make_cdm_imagenet();
-  if (name == "cdm_imagenet_full") return make_cdm_imagenet_full();
-  if (name == "sdxl") return make_sdxl_base();
-  if (name == "dit") return make_dit_xl2();
-  throw std::invalid_argument("unknown model: " + name);
-}
-
-/// op_signature of a measured engine timeline op (occupying ops only).
-std::string timeline_signature(const dpipe::PipelineOp& op) {
-  dpipe::Instruction instr;
-  switch (op.kind) {
-    case dpipe::OpKind::kLoad:
-      instr.kind = dpipe::InstrKind::kLoadMicroBatch;
-      break;
-    case dpipe::OpKind::kForward:
-      instr.kind = dpipe::InstrKind::kForward;
-      break;
-    case dpipe::OpKind::kBackward:
-      instr.kind = dpipe::InstrKind::kBackward;
-      break;
-    case dpipe::OpKind::kFrozenForward:
-    case dpipe::OpKind::kFrozenForwardPartial:
-    case dpipe::OpKind::kLeftoverForward:
-      instr.kind = dpipe::InstrKind::kFrozenForward;
-      break;
-    case dpipe::OpKind::kOptimizer:
-      instr.kind = dpipe::InstrKind::kOptimizerStep;
-      break;
-    case dpipe::OpKind::kGradSync:
-      return {};  // Link op: occupies no device.
-  }
-  instr.backbone = op.backbone;
-  instr.stage = op.stage;
-  instr.micro = op.micro;
-  instr.component = op.component;
-  instr.layer_begin = op.layer;
-  instr.layer_end = op.layer + 1;
-  return op_signature(instr);
-}
-
 /// Measured timelines keep only a frozen op's first layer, so drop the
 /// ":end" half of frozen signatures before comparing against them.
 std::vector<std::vector<std::string>> drop_layer_end(
@@ -192,6 +147,22 @@ int run_sim(const dpipe::InstructionProgram& program,
   return 0;
 }
 
+/// Replays `program` on the discrete-event engine for `iterations` and
+/// returns its per-device occupying-op signatures.
+std::vector<std::vector<std::string>> engine_replay(
+    const dpipe::InstructionProgram& program, const dpipe::ProfileDb& db,
+    const dpipe::CommModel& comm, double group_batch, int dp,
+    int iterations) {
+  using namespace dpipe;
+  EngineOptions sim;
+  sim.group_batch = group_batch;
+  sim.data_parallel_degree = dp;
+  sim.iterations = iterations;
+  sim.record_timelines = true;
+  return timeline_op_signatures(
+      ExecutionEngine(db, comm).run(program, sim).timelines);
+}
+
 int run_real(const dpipe::InstructionProgram& program,
              const dpipe::ProfileDb& db, const dpipe::CommModel& comm,
              const char* path, int dp, int iterations) {
@@ -250,23 +221,10 @@ int run_real(const dpipe::InstructionProgram& program,
       occupancy_trace(trainer.program(), iterations);
   bool ok = check_parity(expected, trainer.execution_log(), "runtime");
 
-  EngineOptions sim;
-  sim.group_batch = static_cast<double>(per_micro) * num_micros;
-  sim.data_parallel_degree = dp;
-  sim.iterations = iterations;
-  sim.record_timelines = true;
-  const ExecutionEngine engine(db, comm);
-  const EngineResult result = engine.run(trainer.program(), sim);
-  std::vector<std::vector<std::string>> engine_log(
-      result.timelines.devices.size());
-  for (std::size_t dev = 0; dev < result.timelines.devices.size(); ++dev) {
-    for (const PipelineOp& op : result.timelines.devices[dev].ops) {
-      std::string sig = timeline_signature(op);
-      if (!sig.empty()) {
-        engine_log[dev].push_back(std::move(sig));
-      }
-    }
-  }
+  const std::vector<std::vector<std::string>> engine_log =
+      engine_replay(trainer.program(), db, comm,
+                    static_cast<double>(per_micro) * num_micros, dp,
+                    iterations);
   ok = check_parity(drop_layer_end(expected), drop_layer_end(engine_log),
                     "engine") &&
        ok;
@@ -274,32 +232,6 @@ int run_real(const dpipe::InstructionProgram& program,
   std::printf("  cross-backend op order parity: %s\n",
               ok ? "OK" : "FAILED");
   return ok ? 0 : 1;
-}
-
-/// Replays `program` on the discrete-event engine for `iterations` and
-/// returns its per-device occupying-op signatures.
-std::vector<std::vector<std::string>> engine_replay(
-    const dpipe::InstructionProgram& program, const dpipe::ProfileDb& db,
-    const dpipe::CommModel& comm, double group_batch, int dp,
-    int iterations) {
-  using namespace dpipe;
-  EngineOptions sim;
-  sim.group_batch = group_batch;
-  sim.data_parallel_degree = dp;
-  sim.iterations = iterations;
-  sim.record_timelines = true;
-  const EngineResult result = ExecutionEngine(db, comm).run(program, sim);
-  std::vector<std::vector<std::string>> engine_log(
-      result.timelines.devices.size());
-  for (std::size_t dev = 0; dev < result.timelines.devices.size(); ++dev) {
-    for (const PipelineOp& op : result.timelines.devices[dev].ops) {
-      std::string sig = timeline_signature(op);
-      if (!sig.empty()) {
-        engine_log[dev].push_back(std::move(sig));
-      }
-    }
-  }
-  return engine_log;
 }
 
 int run_elastic(const dpipe::InstructionProgram& program,
@@ -588,7 +520,7 @@ int main(int argc, char** argv) {
     }
     const dpipe::InstructionProgram program = dpipe::load_program(in);
     dpipe::require_valid_program(program);
-    const dpipe::ModelDesc model = model_by_name(argv[arg + 1]);
+    const dpipe::ModelDesc model = dpipe::make_model_by_name(argv[arg + 1]);
     const dpipe::ClusterSpec cluster =
         dpipe::make_p4de_cluster(std::atoi(argv[arg + 2]));
     const dpipe::CommModel comm(cluster);

@@ -29,20 +29,17 @@ DPIPE_SIMD=scalar ./build/tests/dpipe_tests \
 echo "== tier-1: ThreadSanitizer build (runtime + fault + service tests) =="
 cmake -B build-tsan -S . -DDPIPE_SANITIZE=thread
 cmake --build build-tsan -j"$(nproc)" --target dpipe_tests
-# DPIPE_WAVE_EXEC=threads: on single-CPU hosts the interpreter would
-# auto-select the cooperative serial wave scheduler, which has no thread
-# interleavings for TSan to check — force the threaded path here.
-TSAN_OPTIONS="halt_on_error=1" DPIPE_WAVE_EXEC=threads \
-  ./build-tsan/tests/dpipe_tests \
+# TSan builds resolve the automatic wave executor to the threaded driver,
+# so every wave here runs on threads with interleavings for TSan to check.
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/dpipe_tests \
   --gtest_filter='Channel.*:PipelineTrainer.*:Equivalence.*:Fault.*:ParallelFor.*:PlannerSearch.*:Kernels.*:TensorPool.*:Trajectory.*:RngSeed.*:SimdDispatch.*:SimdParity.*:Interpreter.*:Parity.*:Interleaved.*:Elastic.*:Reshard.*:CheckpointIo.*:PlanFingerprint.*:StageCostStore.*:PlanCache.*:PlanStore.*:PlanService.*:PlanProtocol.*:Eltwise*'
 
-echo "== tier-1: interleaved schedule smoke (both wave-executor modes) =="
+echo "== tier-1: interleaved schedule smoke =="
 # The interleaved family exercises multi-virtual-stage device timelines on
-# the functional runtime; both wave executors must replay it with clean
-# cross-backend op-order parity.
-DPIPE_WAVE_EXEC=threads ./build/tools/dpipe_run --schedule=interleaved \
-  --vstages=2 --backend=real 2 4 8 1 2 | grep -q "parity: OK"
-DPIPE_WAVE_EXEC=serial ./build/tools/dpipe_run --schedule=interleaved \
+# the functional runtime; its replay must show clean cross-backend op-order
+# parity. (Interpreter.WaveExecSerialMatchesThreadedBitExact covers both
+# wave executors on an interleaved program.)
+./build/tools/dpipe_run --schedule=interleaved \
   --vstages=2 --backend=real 2 4 8 1 2 | grep -q "parity: OK"
 ./build/tools/dpipe_run --schedule=interleaved --vstages=2 --backend=sim \
   2 4 8 1 2 > /dev/null
