@@ -1,7 +1,7 @@
-// Planner grid-search performance: sequential vs forced parallel vs the
-// adaptive default (see DESIGN.md §7). Prints one table row per
-// (model, machines) testbed and writes the same rows to a JSON file
-// (default BENCH_planner.json in the current directory — run from the
+// Planner grid-search performance: one search thread against the default
+// pool (see DESIGN.md §7). Prints one table row per (model, machines)
+// testbed and writes the same rows, under a provenance header, to a JSON
+// file (default BENCH_planner.json in the current directory — run from the
 // repo root; pass an output path as argv[1] to override).
 
 #include <algorithm>
@@ -18,6 +18,10 @@ namespace {
 
 using namespace dpipe;
 
+constexpr const char* kTimingIdiom =
+    "interleaved best-of-rounds: variants run round-robin, one plan each "
+    "per round, per-variant minimum over 31/15/5 rounds by plan cost";
+
 struct Case {
   std::string name;
   ModelDesc model;
@@ -27,13 +31,10 @@ struct Case {
 
 struct Row {
   std::string config;
-  double seq_ms = 0.0;       ///< 1 thread.
-  double par_ms = 0.0;       ///< All threads + stage cache (forced).
-  double adaptive_ms = 0.0;  ///< Default options: the work-estimate
-                             ///< threshold picks seq or par per grid.
-  double speedup = 0.0;          ///< seq_ms / par_ms.
-  double adaptive_speedup = 0.0; ///< seq_ms / adaptive_ms (>= ~1 always:
-                                 ///< the small-grid regression fix).
+  double seq_ms = 0.0;      ///< search_threads = 1: a plain loop.
+  double default_ms = 0.0;  ///< Default options: every pool thread.
+  double speedup = 0.0;     ///< seq_ms / default_ms.
+  int threads = 0;          ///< Pool width of the default search.
   double cache_hit_rate = 0.0;
   int combos = 0;
   int vstage_axis = 1;  ///< V-axis size: 1 = the historical (S, M, D) grid.
@@ -80,49 +81,35 @@ void time_plans_ms(const std::vector<const Planner*>& planners,
 Row run_case(const Case& c) {
   const ClusterSpec cluster = make_p4de_cluster(c.machines);
 
-  PlannerOptions seq_opts;
-  seq_opts.global_batch = c.global_batch;
+  PlannerOptions default_opts;
+  default_opts.global_batch = c.global_batch;
+  PlannerOptions seq_opts = default_opts;
   seq_opts.search_threads = 1;
 
-  PlannerOptions par_opts = seq_opts;
-  par_opts.search_threads = 0;  // All hardware threads.
-  par_opts.parallel_work_threshold = 0.0;  // Forced fan-out.
-
-  // Out-of-the-box behavior: the work-estimate threshold decides, per
-  // grid, whether the fan-out + per-evaluation cache pay for themselves.
-  PlannerOptions adaptive_opts;
-  adaptive_opts.global_batch = c.global_batch;
-  adaptive_opts.search_threads = 0;
-
   const Planner seq_planner(c.model, cluster, seq_opts);
-  const Planner par_planner(c.model, cluster, par_opts);
-  const Planner adaptive_planner(c.model, cluster, adaptive_opts);
+  const Planner default_planner(c.model, cluster, default_opts);
 
   Row row;
   row.config = c.name;
   std::vector<double> best_ms;
   std::vector<Plan> plans;
-  time_plans_ms({&seq_planner, &par_planner, &adaptive_planner}, &best_ms,
-                &plans);
+  time_plans_ms({&seq_planner, &default_planner}, &best_ms, &plans);
   row.seq_ms = best_ms[0];
-  row.par_ms = best_ms[1];
-  row.adaptive_ms = best_ms[2];
+  row.default_ms = best_ms[1];
   const Plan& seq_plan = plans[0];
-  const Plan& par_plan = plans[1];
-  const Plan& adaptive_plan = plans[2];
-  row.speedup = row.seq_ms / row.par_ms;
-  row.adaptive_speedup = row.seq_ms / row.adaptive_ms;
-  row.combos = par_plan.search.combos_total;
-  row.vstage_axis = par_plan.search.vstage_axis;
-  const double lookups = static_cast<double>(par_plan.search.cache_hits +
-                                             par_plan.search.cache_misses);
+  const Plan& default_plan = plans[1];
+  row.speedup = row.seq_ms / row.default_ms;
+  row.threads = default_plan.search.threads;
+  row.combos = default_plan.search.combos_total;
+  row.vstage_axis = default_plan.search.vstage_axis;
+  const double lookups = static_cast<double>(
+      default_plan.search.cache_hits + default_plan.search.cache_misses);
   row.cache_hit_rate =
-      lookups > 0.0 ? par_plan.search.cache_hits / lookups : 0.0;
+      lookups > 0.0 ? default_plan.search.cache_hits / lookups : 0.0;
 
-  // Sanity: all variants must pick the same plan (the tentpole's
+  // Sanity: both variants must pick the same plan (the search's
   // bit-identity contract; the parity tests check it exhaustively).
-  if (!(seq_plan.config == par_plan.config) ||
-      !(seq_plan.config == adaptive_plan.config)) {
+  if (!(seq_plan.config == default_plan.config)) {
     std::fprintf(stderr, "FATAL: %s: plan mismatch across search variants\n",
                  c.name.c_str());
     std::exit(1);
@@ -144,47 +131,42 @@ int main(int argc, char** argv) {
   cases.push_back({"cdm_x1", make_cdm_lsun(), 1, 128.0});
   cases.push_back({"cdm_x2", make_cdm_lsun(), 2, 256.0});
 
-  bench::header("Planner search: sequential vs parallel+cache vs adaptive");
+  bench::header("Planner search: one thread vs the default pool");
   std::printf("host threads: %d\n", default_thread_count());
-  std::printf("%-16s %8s %10s %11s %9s %9s %9s %7s\n", "config", "seq_ms",
-              "par_ms", "adaptive_ms", "speedup", "adaptive", "hit_rate",
-              "combos");
+  std::printf("%-16s %8s %10s %8s %7s %9s %7s\n", "config", "seq_ms",
+              "default_ms", "speedup", "threads", "hit_rate", "combos");
 
   std::vector<Row> rows;
   for (const Case& c : cases) {
     const Row row = run_case(c);
-    std::printf("%-16s %8.1f %10.1f %11.1f %8.2fx %8.2fx %8.1f%% %7d\n",
-                row.config.c_str(), row.seq_ms, row.par_ms, row.adaptive_ms,
-                row.speedup, row.adaptive_speedup, 100.0 * row.cache_hit_rate,
-                row.combos);
+    std::printf("%-16s %8.1f %10.1f %7.2fx %7d %8.1f%% %7d\n",
+                row.config.c_str(), row.seq_ms, row.default_ms, row.speedup,
+                row.threads, 100.0 * row.cache_hit_rate, row.combos);
     rows.push_back(row);
   }
 
   double total_seq = 0.0;
-  double total_par = 0.0;
-  double total_adaptive = 0.0;
+  double total_default = 0.0;
   for (const Row& r : rows) {
     total_seq += r.seq_ms;
-    total_par += r.par_ms;
-    total_adaptive += r.adaptive_ms;
+    total_default += r.default_ms;
   }
-  std::printf("aggregate speedup: forced %.2fx, adaptive %.2fx\n",
-              total_seq / total_par, total_seq / total_adaptive);
+  std::printf("aggregate speedup: %.2fx\n", total_seq / total_default);
 
   std::ofstream json(out_path);
-  json << "[\n";
+  json << "{\n  \"provenance\": " << bench::provenance_json(kTimingIdiom)
+       << ",\n  \"rows\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
-    json << "  {\"config\": \"" << r.config << "\", \"seq_ms\": " << r.seq_ms
-         << ", \"par_ms\": " << r.par_ms << ", \"speedup\": " << r.speedup
-         << ", \"adaptive_ms\": " << r.adaptive_ms
-         << ", \"adaptive_speedup\": " << r.adaptive_speedup
+    json << "    {\"config\": \"" << r.config << "\", \"seq_ms\": " << r.seq_ms
+         << ", \"default_ms\": " << r.default_ms
+         << ", \"speedup\": " << r.speedup << ", \"threads\": " << r.threads
          << ", \"cache_hit_rate\": " << r.cache_hit_rate
          << ", \"combos\": " << r.combos
          << ", \"vstage_axis\": " << r.vstage_axis << "}"
          << (i + 1 < rows.size() ? "," : "") << "\n";
   }
-  json << "]\n";
+  json << "  ]\n}\n";
   std::printf("wrote %s\n", out_path.c_str());
   return 0;
 }

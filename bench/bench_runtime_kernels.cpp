@@ -30,6 +30,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_util.h"
 #include "runtime/dp_trainer.h"
 #include "runtime/eltwise.h"
 #include "runtime/kernels.h"
@@ -40,22 +41,6 @@
 namespace {
 
 using namespace dpipe::rt;
-
-/// The CPU model string from /proc/cpuinfo ("unknown" where that file or
-/// field is missing), recorded so a result names the host it came from.
-std::string cpu_model() {
-  std::ifstream in("/proc/cpuinfo");
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("model name", 0) == 0) {
-      const std::size_t colon = line.find(':');
-      if (colon != std::string::npos && colon + 2 <= line.size()) {
-        return line.substr(colon + 2);
-      }
-    }
-  }
-  return "unknown";
-}
 
 double now_ms() {
   return std::chrono::duration<double, std::milli>(
@@ -354,7 +339,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::string cpu = cpu_model();
+  const std::string cpu = dpipe::bench::cpu_model();
   const unsigned cores = std::thread::hardware_concurrency();
   std::printf("== Runtime kernel & memory substrate ==\n");
   std::printf("host: %s, %u hardware threads\n", cpu.c_str(), cores);

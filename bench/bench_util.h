@@ -6,7 +6,10 @@
 // can be regenerated by running build/bench/*.
 
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <thread>
 
 #include "baselines/baselines.h"
 #include "cluster/comm_model.h"
@@ -14,6 +17,7 @@
 #include "engine/engine.h"
 #include "model/zoo.h"
 #include "profiler/profiler.h"
+#include "runtime/simd.h"
 
 namespace dpipe::bench {
 
@@ -91,6 +95,36 @@ inline PlannedRun run_diffusionpipe(const ModelDesc& model,
 
 inline void header(const std::string& title) {
   std::printf("\n=== %s ===\n", title.c_str());
+}
+
+/// The CPU model string from /proc/cpuinfo ("unknown" where that file or
+/// field is missing), recorded so a result names the host it came from.
+inline std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      const std::size_t colon = line.find(':');
+      if (colon != std::string::npos && colon + 2 <= line.size()) {
+        return line.substr(colon + 2);
+      }
+    }
+  }
+  return "unknown";
+}
+
+/// A JSON object saying where and how a BENCH_*.json was measured: CPU,
+/// hardware threads, SIMD dispatch level, build type and git revision (both
+/// captured when the build tree was configured), and the timing idiom.
+inline std::string provenance_json(const std::string& timing_idiom) {
+  std::ostringstream out;
+  out << "{\"cpu\": \"" << cpu_model()
+      << "\", \"cores\": " << std::thread::hardware_concurrency()
+      << ", \"simd\": \"" << rt::simd_level_name(rt::simd_level())
+      << "\", \"build_type\": \"" << DPIPE_BUILD_TYPE
+      << "\", \"git_revision\": \"" << DPIPE_GIT_REVISION
+      << "\", \"timing\": \"" << timing_idiom << "\"}";
+  return out.str();
 }
 
 }  // namespace dpipe::bench

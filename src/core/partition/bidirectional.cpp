@@ -93,6 +93,10 @@ BiPartitionResult partition_bidirectional(const DpPartitioner& partitioner,
     frontiers[0].emplace(StateKey{0, 0}, std::move(root));
   }
 
+  // Up-stage costs of one DP state, indexed by take - 1. They depend only on
+  // (up_placed, take, chain_begin), so they are costed once per state rather
+  // than once per down-take they get paired with.
+  std::vector<StageCost> up_costs;
   for (int s = 0; s < S; ++s) {
     const int stages_left = S - s;
     const int chain_begin = s * r;
@@ -100,6 +104,18 @@ BiPartitionResult partition_bidirectional(const DpPartitioner& partitioner,
       const auto [down_placed, up_placed] = key;
       const int max_down_take = Ld - down_placed - (stages_left - 1);
       const int max_up_take = Lu - up_placed - (stages_left - 1);
+      // The last chain stage must take everything that is left.
+      const int min_up_take = stages_left == 1 ? max_up_take : 1;
+      // Up layers counted from the back: this chain stage holds
+      // [up_hi - ut, up_hi).
+      const int up_hi = Lu - up_placed;
+      up_costs.resize(max_up_take);
+      for (int ut = min_up_take; ut <= max_up_take; ++ut) {
+        up_costs[ut - 1] =
+            partitioner.stage_cost(up_component, up_hi - ut, up_hi, r,
+                                   chain_begin, opts, PipeDirection::kUp,
+                                   cache);
+      }
       for (int dt = 1; dt <= max_down_take; ++dt) {
         if (stages_left == 1 && down_placed + dt != Ld) {
           continue;
@@ -109,27 +125,19 @@ BiPartitionResult partition_bidirectional(const DpPartitioner& partitioner,
         const StageCost down_cost = partitioner.stage_cost(
             down_component, down_lo, down_hi, r, chain_begin, opts,
             PipeDirection::kDown, cache);
-        for (int ut = 1; ut <= max_up_take; ++ut) {
-          if (stages_left == 1 && up_placed + ut != Lu) {
-            continue;
-          }
-          // Up layers counted from the back: this chain stage holds
-          // [Lu - up_placed - ut, Lu - up_placed).
-          const int up_lo = Lu - up_placed - ut;
-          const int up_hi = Lu - up_placed;
-          const StageCost up_cost = partitioner.stage_cost(
-              up_component, up_lo, up_hi, r, chain_begin, opts,
-              PipeDirection::kUp, cache);
+        for (int ut = min_up_take; ut <= max_up_take; ++ut) {
+          const StageCost& up_cost = up_costs[ut - 1];
           const double t0 = std::max(down_cost.t0_ms, up_cost.t0_ms);
           const double y = std::max(down_cost.y_ms, up_cost.y_ms);
+          ParetoFrontier& target = frontiers[s + 1][{down_hi, up_placed + ut}];
           for (const ParetoPoint& p : frontier.points()) {
             ParetoPoint next;
             next.w = std::max(p.w, t0);
             next.y = std::max(p.y, y);
             next.tag = transitions.size();
-            if (frontiers[s + 1][{down_hi, up_placed + ut}].insert(next)) {
+            if (target.insert(next)) {
               transitions.push_back(
-                  {p.tag, down_lo, down_hi, up_lo, up_hi, chain_begin});
+                  {p.tag, down_lo, down_hi, up_hi - ut, up_hi, chain_begin});
             }
           }
         }

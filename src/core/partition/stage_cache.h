@@ -17,7 +17,7 @@ namespace dpipe {
 /// Memoizes DpPartitioner::stage_cost results for one fixed (ProfileDb,
 /// CommModel, PartitionOptions) context. The DP partitioner revisits the
 /// same (lo, hi, replicas, chain_begin) tuple from many DP states (and the
-/// bidirectional DP recomputes the up-stage cost for every down-take it
+/// bidirectional DP re-costs each down-stage under every up-placement it
 /// pairs it with), the brute-force oracle re-enumerates the same stages,
 /// and the schedule builder re-derives the chosen stages' timings — all of
 /// which collapse to one computation per distinct key here.
@@ -30,7 +30,8 @@ namespace dpipe {
 /// hard error instead of silent wrong numbers.
 ///
 /// Not thread-safe: use one cache per thread (the planner creates one per
-/// (S, M, D) evaluation, each of which runs on a single search thread).
+/// bidirectional (S, M, D) evaluation, each of which runs on a single
+/// search thread).
 class StageCostCache {
  public:
   struct Key {

@@ -151,28 +151,8 @@ double Planner::search_lower_bound_ms(int S, int M, int D, int V) const {
          (1.0 - 1e-9);
 }
 
-double Planner::combo_work_estimate(int S, int M, int D, int V) const {
-  if (!combo_shape_valid(S, M, D, V)) {
-    return 0.0;
-  }
-  double layer_sq = 0.0;
-  for (const int b : model_.backbone_ids) {
-    const double L = model_.components[b].num_layers();
-    layer_sq += L * L;
-  }
-  // Interleaved combos partition over the S*V-position virtual chain, so
-  // their DP table is L^2 x (S*V); plain combos use the physical chain (D
-  // positions).
-  double work = layer_sq * (V > 1 ? S * V : D);
-  if (model_.backbone_ids.size() > 1) {
-    work *= D;  // The bidirectional DP pairs every down/up device split.
-  }
-  return work;
-}
-
 std::optional<Planner::Evaluation> Planner::evaluate(
-    int S, int M, int D, int V, StageCostCache* external_cache,
-    bool enable_eval_cache) const {
+    int S, int M, int D, int V, StageCostCache* external_cache) const {
   if (!combo_shape_valid(S, M, D, V)) {
     return std::nullopt;
   }
@@ -190,15 +170,17 @@ std::optional<Planner::Evaluation> Planner::evaluate(
   opts.self_conditioning = model_.self_conditioning;
   opts.self_cond_prob = model_.self_cond_prob;
 
-  // One cache per evaluation: caches are single-threaded by design, and the
-  // DP, the bidirectional pairing, and the schedule builder of one combo all
-  // query the same (component, range, placement) keys. With a cache store
-  // the combo's persistent cache (pre-fetched by plan()) is used instead,
-  // carrying costs memoized by earlier plans into this one.
+  // The cache rule follows the DP's structure. With a cache store the
+  // combo's persistent cache (leased by plan()) carries costs memoized by
+  // earlier plans into this one. Otherwise only the bidirectional DP gets a
+  // per-evaluation cache: it re-costs each down-stage under every
+  // up-placement (~95% hits), while the single-backbone DP visits each key
+  // about once, so there the bookkeeping would cost more than it saves.
   StageCostCache cache;
-  StageCostCache* cache_ptr =
-      external_cache != nullptr ? external_cache
-                                : (enable_eval_cache ? &cache : nullptr);
+  StageCostCache* cache_ptr = external_cache;
+  if (cache_ptr == nullptr && model_.backbone_ids.size() > 1) {
+    cache_ptr = &cache;
+  }
   const std::size_t hits_before = cache_ptr ? cache_ptr->hits() : 0;
   const std::size_t misses_before = cache_ptr ? cache_ptr->misses() : 0;
 
@@ -303,23 +285,6 @@ Plan Planner::plan() const {
 
   const auto search_start = std::chrono::steady_clock::now();
 
-  // Adaptive granularity: estimate the grid's host work and skip the
-  // heavyweight search machinery when it cannot pay for itself — both the
-  // ThreadPool fan-out AND the per-evaluation stage cache, whose
-  // bookkeeping outweighs its savings on small single-backbone grids
-  // (BENCH_planner's small-grid regression). Small grids take the true
-  // sequential path below: a plain loop, no ThreadPool construction, no
-  // cache bookkeeping. Results are bit-identical either way; only wall
-  // time changes. Persistent cache stores are exempt: their warmth spans
-  // plans, which is the point of having them.
-  double grid_work = 0.0;
-  for (const Combo& c : combos) {
-    grid_work += combo_work_estimate(c.S, c.M, c.D, c.V);
-  }
-  const bool small_grid = grid_work < options_.parallel_work_threshold;
-  const bool run_sequential = small_grid || options_.search_threads == 1;
-  const bool eval_cache = !small_grid;
-
   // With a cache store, lease every shape-valid combo's persistent cache up
   // front; the store is thread-safe and each lease is exclusive, so one
   // search thread owns each cache for the duration of the search.
@@ -371,7 +336,7 @@ Plan Planner::plan() const {
     if (seed_index != n) {
       seed_eval = evaluate(combos[seed_index].S, combos[seed_index].M,
                            combos[seed_index].D, combos[seed_index].V,
-                           combo_cache[seed_index], eval_cache);
+                           combo_cache[seed_index]);
       const double threshold =
           (seed_eval.has_value() && seed_eval->config.memory_feasible)
               ? seed_eval->config.predicted_iteration_ms
@@ -388,29 +353,20 @@ Plan Planner::plan() const {
   // Evaluation. Each index writes only results[i], so the parallel outcome
   // is bit-identical for any pool size (see ThreadPool's contract); the
   // reduction below runs sequentially in candidate order, reproducing the
-  // sequential loop's earliest-minimum selection exactly. Small grids run
-  // the same loop inline without ever touching a ThreadPool.
+  // sequential loop's earliest-minimum selection exactly. A pool of size 1
+  // runs the loop inline on this thread.
   std::vector<std::optional<Evaluation>> results(n);
   if (seed_index != n) {
     results[seed_index] = std::move(seed_eval);
     skip[seed_index] = 1;  // Already evaluated; not pruned.
   }
-  const auto evaluate_combo = [&](std::size_t i) {
+  ThreadPool pool(options_.search_threads);
+  pool.parallel_for(n, [&](std::size_t i) {
     if (!skip[i]) {
       results[i] = evaluate(combos[i].S, combos[i].M, combos[i].D,
-                            combos[i].V, combo_cache[i], eval_cache);
+                            combos[i].V, combo_cache[i]);
     }
-  };
-  int threads_used = 1;
-  if (run_sequential) {
-    for (std::size_t i = 0; i < n; ++i) {
-      evaluate_combo(i);
-    }
-  } else {
-    ThreadPool pool(options_.search_threads);
-    threads_used = pool.size();
-    pool.parallel_for(n, evaluate_combo);
-  }
+  });
 
   std::optional<Evaluation> best;
   double partition_ms = 0.0;
@@ -437,7 +393,7 @@ Plan Planner::plan() const {
   }
   ensure(best.has_value(), "no feasible (S, M, D) configuration found");
 
-  plan.search.threads = threads_used;
+  plan.search.threads = pool.size();
   plan.search.combos_total = static_cast<int>(n);
   plan.search.vstage_axis =
       static_cast<int>(options_.vstage_candidates.size());

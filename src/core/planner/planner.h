@@ -24,17 +24,10 @@ struct PlannerOptions {
   bool enable_partial = true;  ///< Ablation: partial-batch layers (§6.3).
   bool check_memory = true;    ///< Skip configurations that exceed HBM.
   /// Host threads for the (S, M, D) grid search; 0 = the DPIPE_THREADS
-  /// environment variable, else all hardware threads. The selected plan and
-  /// explored list are bit-identical for every value.
+  /// environment variable, else all hardware threads; 1 = a plain loop on
+  /// the calling thread. The selected plan and explored list are
+  /// bit-identical for every value.
   int search_threads = 0;
-  /// Adaptive granularity: the grid search stays sequential (one thread)
-  /// unless its estimated work — shape-valid combos weighted by backbone
-  /// DP size, sum of L^2 x D per combo, squared device factor for
-  /// bidirectional cascades — clears this threshold. Small grids (SD,
-  /// ControlNet testbeds) lose more to thread-pool startup than they gain;
-  /// CDM cascades clear the bar by an order of magnitude. 0 always fans
-  /// out; the plan is bit-identical either way (ThreadPool contract).
-  double parallel_work_threshold = 500e3;
   /// Schedule family of the candidate plans. k1F1B (the default) is the
   /// paper's single-backbone schedule; kInterleaved searches the virtual-
   /// stage axis too: each (S, M, D, V) combo with V > 1 partitions the
@@ -140,15 +133,6 @@ class Planner {
   [[nodiscard]] const ClusterSpec& cluster() const { return cluster_; }
   [[nodiscard]] const PlannerOptions& options() const { return options_; }
 
-  /// Estimated host work of evaluating one shape-valid combo, in the
-  /// arbitrary units parallel_work_threshold is expressed in (roughly
-  /// stage_cost evaluations: DP table size L^2 x D, with another device
-  /// factor for the bidirectional pairing loop and a chain factor of S*V
-  /// for interleaved combos). plan() sums this over the grid to decide
-  /// between sequential and parallel search.
-  [[nodiscard]] double combo_work_estimate(int S, int M, int D,
-                                           int V = 1) const;
-
   /// Fills empty candidate lists with their defaults for a `world`-device
   /// cluster: S in {2, 4, 8}, M in {2, 4, 8, 16}, D over the divisors of
   /// the world size (>= 2). The constructor applies this; the plan
@@ -172,13 +156,12 @@ class Planner {
     std::size_t cache_misses = 0;
   };
   /// `external_cache` (optional) is a pre-bound-or-empty StageCostCache
-  /// from options_.cache_store; nullptr = per-evaluation cache (itself
-  /// skipped when `enable_eval_cache` is false — plan()'s small-grid
-  /// adaptive path). Hit/miss stats in the returned Evaluation are deltas
-  /// for this call either way.
+  /// from options_.cache_store; nullptr = a per-evaluation cache for the
+  /// bidirectional DP and no cache otherwise (DESIGN.md §7). Hit/miss
+  /// stats in the returned Evaluation are deltas for this call either way.
   [[nodiscard]] std::optional<Evaluation> evaluate(
-      int S, int M, int D, int V, StageCostCache* external_cache = nullptr,
-      bool enable_eval_cache = true) const;
+      int S, int M, int D, int V,
+      StageCostCache* external_cache = nullptr) const;
   /// The cheap structural validity checks shared by evaluate() and the
   /// pruning lower bound (divisibility, micro-batch >= 1 sample, enough
   /// layers per stage, CDM self-conditioning exclusion, and the placement

@@ -29,9 +29,8 @@ struct PlanRequest {
 ///   - the wire encoding of a request (it parses back losslessly).
 ///
 /// Result-INVISIBLE options are deliberately excluded so they cannot
-/// fragment the cache: search_threads, parallel_work_threshold, and
-/// cache_store all leave the selected plan bit-identical by the planner's
-/// determinism contract.
+/// fragment the cache: search_threads and cache_store both leave the
+/// selected plan bit-identical by the planner's determinism contract.
 /// enable_pruning IS included: it changes the `explored` list. Empty
 /// candidate lists are resolved to their defaults first
 /// (Planner::apply_default_candidates), so "defaulted" and

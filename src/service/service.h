@@ -24,8 +24,6 @@ struct PlanServiceOptions {
   /// search_threads applied to every cold plan (0 = planner default:
   /// DPIPE_THREADS, else hardware threads).
   int planner_threads = 0;
-  /// Adaptive-granularity threshold forwarded to the planner.
-  double parallel_work_threshold = 500e3;
 };
 
 /// The multi-tenant planning service: accepts concurrent plan requests,

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+
 #include "core/partition/bidirectional.h"
 #include "core/partition/brute_force.h"
 #include "core/partition/partitioner.h"
+#include "core/partition/stage_cache.h"
 #include "model/zoo.h"
 
 namespace dpipe {
@@ -194,6 +199,58 @@ TEST(Bidirectional, MatchesBruteForce) {
     EXPECT_NEAR(got.upper_bound_ms, want.upper_bound_ms,
                 1e-9 * want.upper_bound_ms)
         << "seed " << seed;
+  }
+}
+
+void expect_stages_identical(const std::vector<StagePlan>& a,
+                             const std::vector<StagePlan>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t s = 0; s < a.size(); ++s) {
+    EXPECT_EQ(a[s].layer_begin, b[s].layer_begin) << "stage " << s;
+    EXPECT_EQ(a[s].layer_end, b[s].layer_end) << "stage " << s;
+    EXPECT_EQ(a[s].replicas, b[s].replicas) << "stage " << s;
+    EXPECT_EQ(a[s].device_ranks, b[s].device_ranks) << "stage " << s;
+  }
+}
+
+TEST(Bidirectional, HoistedDpIsExact) {
+  // The DP costs each state's up-stages once and pairs them with every
+  // down-take; a cache must not change a single bit of the result, and the
+  // objective must match the exhaustive oracle where it is tractable.
+  for (const char* name : {"cdm_lsun", "cdm_imagenet"}) {
+    const Fixture f(make_model_by_name(name), 2);
+    const DpPartitioner dp(f.db, f.comm);
+    const int down = f.model.backbone_ids[0];
+    const int up = f.model.backbone_ids[1];
+    for (const int S : {2, 4, 8}) {
+      for (const int D : {S, 2 * S}) {
+        for (const int M : {2, 8}) {
+          SCOPED_TRACE(std::string(name) + " S=" + std::to_string(S) +
+                       " D=" + std::to_string(D) + " M=" + std::to_string(M));
+          const PartitionOptions opts = basic_options(S, M, D);
+          const BiPartitionResult plain =
+              partition_bidirectional(dp, down, up, opts);
+          StageCostCache cache;
+          const BiPartitionResult cached =
+              partition_bidirectional(dp, down, up, opts, &cache);
+          expect_stages_identical(plain.down_stages, cached.down_stages);
+          expect_stages_identical(plain.up_stages, cached.up_stages);
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(plain.t0_ms),
+                    std::bit_cast<std::uint64_t>(cached.t0_ms));
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(plain.y_ms),
+                    std::bit_cast<std::uint64_t>(cached.y_ms));
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(plain.upper_bound_ms),
+                    std::bit_cast<std::uint64_t>(cached.upper_bound_ms));
+          EXPECT_EQ(plain.m_cdm, cached.m_cdm);
+          EXPECT_GT(cache.hits(), 0u);
+          if (S == 2) {
+            const BiPartitionResult oracle =
+                brute_force_bidirectional(dp, down, up, opts, &cache);
+            EXPECT_DOUBLE_EQ(plain.upper_bound_ms, oracle.upper_bound_ms);
+          }
+        }
+      }
+    }
   }
 }
 

@@ -88,7 +88,6 @@ TEST(PlanFingerprint, ResultInvisibleOptionsDoNotFragmentTheCache) {
   const PlanRequest base = small_request();
   PlanRequest tuned = base;
   tuned.options.search_threads = 7;
-  tuned.options.parallel_work_threshold = 0.0;
   EXPECT_EQ(canonical_request_text(base), canonical_request_text(tuned));
   // enable_pruning changes the explored list, so it IS identity.
   PlanRequest pruned = base;

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
-#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -333,15 +332,12 @@ TEST(StageCostCache, BidirectionalWithCacheIsBitIdentical) {
 // --- Planner search parity --------------------------------------------------
 
 Plan plan_with(const ModelDesc& model, int threads, bool pruning,
-               double global_batch = 128.0,
-               double parallel_work_threshold = 0.0) {
+               StageCostStore* store = nullptr) {
   PlannerOptions opts;
-  opts.global_batch = global_batch;
+  opts.global_batch = 128.0;
   opts.search_threads = threads;
   opts.enable_pruning = pruning;
-  // 0 = always fan out; the parity tests below pin the execution width they
-  // assert on. AdaptiveGranularity* cover the default threshold.
-  opts.parallel_work_threshold = parallel_work_threshold;
+  opts.cache_store = store;
   const Planner planner(model, make_p4de_cluster(1), opts);
   return planner.plan();
 }
@@ -367,18 +363,21 @@ TEST(PlannerSearch, BitIdenticalAcrossThreadCounts) {
 }
 
 TEST(PlannerSearch, BitIdenticalWithAndWithoutStageCache) {
-  // A grid under the work threshold takes the plain sequential loop, which
-  // runs without any stage cache; a forced fan-out (threshold 0) memoizes
-  // every evaluation. The plan must not notice.
-  const ModelDesc model = make_stable_diffusion_v21();
-  const Plan with = plan_with(model, 4, false);
-  const Plan without = plan_with(model, 4, false, 128.0,
-                                 std::numeric_limits<double>::infinity());
-  EXPECT_EQ(without.search.threads, 1);
-  expect_plans_identical(with, without);
-  EXPECT_GT(with.search.cache_hits, 0u);
-  EXPECT_EQ(without.search.cache_hits, 0u);
-  EXPECT_EQ(without.search.cache_misses, 0u);
+  // Without a store, only the bidirectional DP gets a per-evaluation cache:
+  // an SD search makes no cache lookups at all, a CDM search hits it. A
+  // store-backed search memoizes every combo. The plan must not notice.
+  const ModelDesc sd = make_stable_diffusion_v21();
+  const Plan sd_plain = plan_with(sd, 4, false);
+  EXPECT_EQ(sd_plain.search.cache_hits, 0u);
+  EXPECT_EQ(sd_plain.search.cache_misses, 0u);
+  StageCostStore sd_store;
+  expect_plans_identical(sd_plain, plan_with(sd, 4, false, &sd_store));
+
+  const ModelDesc cdm = make_cdm_lsun();
+  const Plan cdm_plain = plan_with(cdm, 4, false);
+  EXPECT_GT(cdm_plain.search.cache_hits, 0u);
+  StageCostStore cdm_store;
+  expect_plans_identical(cdm_plain, plan_with(cdm, 4, false, &cdm_store));
 }
 
 TEST(PlannerSearch, CdmBidirectionalParity) {
@@ -427,43 +426,15 @@ TEST(PlannerSearch, PruningKeepsWinnerAndProgramExact) {
   }
 }
 
-TEST(PlannerSearch, AdaptiveGranularityRunsSmallGridsSequentially) {
-  // SD v2.1's grid is small enough that thread fan-out costs more than it
-  // saves (the BENCH_planner small-grid regression); the default threshold
-  // keeps it sequential even when threads were requested. The plan itself
-  // must be bit-identical to a forced-parallel search.
-  const ModelDesc model = make_stable_diffusion_v21();
-  const Plan adaptive = plan_with(model, 4, false, 128.0,
-                                  PlannerOptions{}.parallel_work_threshold);
-  EXPECT_EQ(adaptive.search.threads, 1);
-  const Plan forced = plan_with(model, 4, false, 128.0, 0.0);
-  EXPECT_EQ(forced.search.threads, 4);
-  expect_plans_identical(adaptive, forced);
-}
-
-TEST(PlannerSearch, AdaptiveGranularityKeepsLargeGridsParallel) {
-  // CDM's bidirectional grid is an order of magnitude more work per combo;
-  // the same default threshold leaves it parallel.
-  const ModelDesc model = make_cdm_lsun();
-  const Plan adaptive = plan_with(model, 4, false, 128.0,
-                                  PlannerOptions{}.parallel_work_threshold);
-  EXPECT_EQ(adaptive.search.threads, 4);
-  expect_plans_identical(adaptive, plan_with(model, 4, false));
-}
-
-TEST(PlannerSearch, ComboWorkEstimateScalesWithGridShape) {
-  const ModelDesc sd = make_stable_diffusion_v21();
-  const ModelDesc cdm = make_cdm_lsun();
-  PlannerOptions opts;
-  opts.global_batch = 128.0;
-  const Planner sd_planner(sd, make_p4de_cluster(1), opts);
-  const Planner cdm_planner(cdm, make_p4de_cluster(1), opts);
-  // More placement freedom = more DP states; bidirectional models pay the
-  // pairing factor on top.
-  EXPECT_GT(sd_planner.combo_work_estimate(4, 8, 8),
-            sd_planner.combo_work_estimate(4, 8, 4));
-  EXPECT_GT(cdm_planner.combo_work_estimate(4, 8, 8),
-            sd_planner.combo_work_estimate(4, 8, 8));
+TEST(PlannerSearch, DefaultSearchUsesEveryPoolThread) {
+  // The default search fans every grid out over the whole pool, small
+  // single-backbone grids included, and still selects the sequential plan.
+  const int width = ThreadPool(0).size();
+  for (const ModelDesc& model : {make_stable_diffusion_v21(), make_cdm_lsun()}) {
+    const Plan fanned = plan_with(model, 0, false);
+    EXPECT_EQ(fanned.search.threads, width);
+    expect_plans_identical(fanned, plan_with(model, 1, false));
+  }
 }
 
 TEST(PlannerSearch, StageCostStoreMakesSecondPlanFullyWarm) {
@@ -514,7 +485,8 @@ TEST(PlannerSearch, RuntimeBindableRestrictionsFilterTheGrid) {
 }
 
 TEST(PlannerSearch, StatsAndWallTimesPopulated) {
-  const Plan plan = plan_with(make_stable_diffusion_v21(), 0, false);
+  // CDM: without a store, only the bidirectional DP reports cache traffic.
+  const Plan plan = plan_with(make_cdm_lsun(), 0, false);
   EXPECT_GE(plan.search.threads, 1);
   EXPECT_GT(plan.search.combos_total, 0);
   EXPECT_EQ(plan.search.combos_evaluated, plan.search.combos_total);

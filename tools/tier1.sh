@@ -3,12 +3,14 @@
 # ThreadSanitizer build running the concurrency-sensitive runtime and fault
 # tests (thread-per-stage program interpreter, channel shutdown, checkpoint
 # recovery, cross-backend parity) plus the parallel planner-search
-# determinism tests, the kernel/pool substrate tests (row-block fan-out,
-# concurrent TensorPool), and the plan-service suites (single-flight cache,
-# stage-cost leases, concurrent request determinism), ending with a
-# socket-level request-storm smoke of dpipe_plan_serve, and finally the
-# repository benchmark's smoke test (dpbench/), which builds the benchmark
-# from these sources so an API it uses cannot be cut unnoticed.
+# determinism tests (every default search fans out over the pool), the
+# kernel/pool substrate tests (row-block fan-out, concurrent TensorPool), and
+# the plan-service suites (single-flight cache, stage-cost leases, concurrent
+# request determinism), then an AddressSanitizer+UBSan build running the
+# planner, cascade-DP, stage-cost and plan-service suites, a socket-level
+# request-storm smoke of dpipe_plan_serve, and finally the repository
+# benchmark's smoke test (dpbench/), which builds the benchmark from these
+# sources so an API it uses cannot be cut unnoticed.
 # Run from the repository root.
 set -euo pipefail
 
@@ -33,6 +35,12 @@ cmake --build build-tsan -j"$(nproc)" --target dpipe_tests
 # so every wave here runs on threads with interleavings for TSan to check.
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/dpipe_tests \
   --gtest_filter='Channel.*:PipelineTrainer.*:Equivalence.*:Fault.*:ParallelFor.*:PlannerSearch.*:Kernels.*:TensorPool.*:Trajectory.*:RngSeed.*:SimdDispatch.*:SimdParity.*:Interpreter.*:Parity.*:Interleaved.*:Elastic.*:Reshard.*:CheckpointIo.*:PlanFingerprint.*:StageCostStore.*:PlanCache.*:PlanStore.*:PlanService.*:PlanProtocol.*:Eltwise*'
+
+echo "== tier-1: ASan+UBSan build (planner + stage-cost + service tests) =="
+cmake -B build-asan -S . -DDPIPE_SANITIZE=address,undefined
+cmake --build build-asan -j"$(nproc)" --target dpipe_tests
+./build-asan/tests/dpipe_tests \
+  --gtest_filter='PlannerSearch.*:Bidirectional.*:StageCostCache.*:StageCostStore.*:PlanFingerprint.*:PlanService.*'
 
 echo "== tier-1: interleaved schedule smoke =="
 # The interleaved family exercises multi-virtual-stage device timelines on
