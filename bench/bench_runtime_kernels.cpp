@@ -5,18 +5,20 @@
 // roofline section comparing achieved GFLOP/s against the measured
 // register-tile compute ceiling at the active SIMD level, an elementwise
 // bandwidth section (GB/s, scalar vs active SIMD level) for the fused
-// eltwise/optimizer kernels, end-to-end PipelineTrainer iterations/s under
-// each kernel mode, a GEMM vs non-GEMM time breakdown of the trainer loop
-// (via the runtime op profiler), and TensorPool recycling/alignment stats.
-// Prints a table and writes BENCH_runtime.json, headed by the host it ran
-// on (pass an output path to override; pass --quick for a fast smoke run).
+// eltwise/optimizer kernels, end-to-end PipelineTrainer iterations/s on the
+// benchmark's train_wide shape for intra-op pool widths 1..4 under the
+// serial and pooled wave drivers (DESIGN.md §13), a GEMM vs non-GEMM time
+// breakdown of that trainer (via the runtime op profiler), and TensorPool
+// recycling/alignment stats. Prints a table and writes BENCH_runtime.json,
+// headed by bench::provenance_json (pass an output path to override; pass
+// --quick for a fast smoke run).
 //
 // Timing idiom (SNIPPETS §2–3, the DeployUseTensorRT harness): set up
 // once, one untimed warm-up, then a timed loop of enough calls to swamp
-// clock granularity, best-of-reps. The end-to-end section interleaves the
-// kernel modes round-robin across repetitions so slow drift on a shared
-// machine (frequency scaling, co-tenants) hits every mode equally instead
-// of biasing whichever ran last.
+// clock granularity, best-of-reps. The end-to-end section interleaves its
+// cases round-robin across repetitions so slow drift on a shared machine
+// (frequency scaling, co-tenants) hits every case equally instead of
+// biasing whichever ran last.
 
 #include <algorithm>
 #include <chrono>
@@ -33,6 +35,7 @@
 #include "bench_util.h"
 #include "runtime/dp_trainer.h"
 #include "runtime/eltwise.h"
+#include "runtime/interpreter.h"
 #include "runtime/kernels.h"
 #include "runtime/pipeline_exec.h"
 #include "runtime/pool.h"
@@ -41,6 +44,13 @@
 namespace {
 
 using namespace dpipe::rt;
+using dpipe::InstructionProgram;
+using dpipe::ScheduleFamily;
+
+constexpr const char* kTimingIdiom =
+    "kernels: warm-up then best of timed repetitions; end to end: "
+    "interleaved best-of-rounds, every (pool width, driver) case timed "
+    "round-robin per round";
 
 double now_ms() {
   return std::chrono::duration<double, std::milli>(
@@ -222,51 +232,87 @@ std::vector<EltwiseRow> run_eltwise_cases(std::int64_t n, int reps) {
 
 // --- End-to-end trainer ----------------------------------------------------
 
-struct EndToEndRow {
-  std::string mode;
-  double iters_per_s = 0.0;
-  double speedup = 0.0;  ///< vs naive.
+/// The benchmark's train_wide shape: hidden 256, depth 6, batch 256, Adam,
+/// interleaved 2 devices x 2 virtual stages, M=4, dp=2 — four train tasks
+/// per wave, each far above the pooled driver's work threshold.
+struct WideShape {
+  DdpmProblem problem;
+  PipelineRtConfig cfg;
+  InstructionProgram program;
+
+  WideShape() : problem(problem_config()) {
+    cfg.num_stages = 2;
+    cfg.num_microbatches = 4;
+    cfg.data_parallel_degree = 2;
+    cfg.global_batch = 256;
+    cfg.use_adam = true;
+    cfg.lr = 1e-3f;
+    cfg.cross_iteration = true;
+    TrainerLoweringSpec spec;
+    spec.num_stages = cfg.num_stages;
+    spec.num_microbatches = cfg.num_microbatches;
+    spec.data_parallel_degree = cfg.data_parallel_degree;
+    spec.global_batch = cfg.global_batch;
+    spec.cross_iteration = cfg.cross_iteration;
+    spec.num_modules = static_cast<int>(problem.make_backbone()->size());
+    spec.family = ScheduleFamily::kInterleaved;
+    spec.vstages = 2;
+    program = lower_trainer_program(spec).program;
+  }
+
+  [[nodiscard]] std::unique_ptr<PipelineTrainer> trainer() const {
+    return std::make_unique<PipelineTrainer>(problem, cfg, program);
+  }
+
+ private:
+  static DdpmConfig problem_config() {
+    DdpmConfig dc;
+    dc.hidden = 256;
+    dc.depth = 6;
+    return dc;
+  }
 };
 
-PipelineRtConfig e2e_config() {
-  PipelineRtConfig cfg;
-  cfg.num_stages = 3;
-  cfg.num_microbatches = 4;
-  cfg.data_parallel_degree = 2;
-  cfg.global_batch = 32;
-  cfg.lr = 0.2f;
-  cfg.cross_iteration = true;
-  return cfg;
-}
+struct EndToEndRow {
+  int pool_threads = 0;  ///< Intra-op pool width (a host of this many cores).
+  std::string driver;    ///< "serial" (W = 1) or "pooled" (W = min(4, pool)).
+  int wave_width = 0;
+  double iters_per_s = 0.0;
+  double vs_serial = 0.0;  ///< vs the serial driver at the same pool width.
+};
 
-DdpmConfig e2e_problem_config() {
-  DdpmConfig dc;
-  dc.self_conditioning = true;
-  dc.self_cond_prob = 0.5;
-  return dc;
-}
-
-/// Iterations/s of the full pipeline trainer (the default example config:
-/// self-conditioning, cross-iteration frozen part, 3 stages x 4 micros x
-/// 2 replicas) under each kernel mode. One persistent trainer per mode;
-/// the modes are timed round-robin for `rounds` repetitions of `iters`
-/// each, best-of-rounds per mode.
-std::vector<EndToEndRow> run_end_to_end(int iters, int rounds) {
-  const std::vector<KernelMode> modes = {KernelMode::kNaive,
-                                         KernelMode::kBlocked};
-  const DdpmProblem problem(e2e_problem_config());
-  const PipelineRtConfig cfg = e2e_config();
-  set_kernel_threads(0);
+/// Iterations/s of the train_wide-shaped PipelineTrainer for pool widths
+/// 1..max_threads under both wave drivers: serial (W = 1, kernels fan out
+/// over the pool) and pooled (W = min(#tasks, pool), kernels inline). One
+/// persistent trainer per (width, driver); the cases are timed round-robin
+/// for `rounds` repetitions of `iters` each, best-of-rounds per case. Each
+/// switch rebuilds the pool at the case's width before its timer starts.
+std::vector<EndToEndRow> run_end_to_end(int iters, int rounds,
+                                        int max_threads) {
+  set_kernel_mode(KernelMode::kBlocked);
+  const WideShape wide;
+  const int tasks = wide.cfg.data_parallel_degree * wide.cfg.num_stages;
+  std::vector<EndToEndRow> rows;
   std::vector<std::unique_ptr<PipelineTrainer>> trainers;
-  std::vector<double> best_ms(modes.size(), 0.0);
-  for (const KernelMode mode : modes) {
-    set_kernel_mode(mode);
-    trainers.push_back(std::make_unique<PipelineTrainer>(problem, cfg));
-    trainers.back()->train(2);  // Warm-up: thread startup, pool fill.
+  for (int threads = 1; threads <= max_threads; ++threads) {
+    for (const WaveExec exec : {WaveExec::kSerial, WaveExec::kThreads}) {
+      EndToEndRow row;
+      row.pool_threads = threads;
+      row.driver = exec == WaveExec::kSerial ? "serial" : "pooled";
+      row.wave_width = exec == WaveExec::kSerial ? 1 : std::min(tasks, threads);
+      rows.push_back(row);
+      set_kernel_threads(threads);
+      set_wave_exec(exec);
+      trainers.push_back(wide.trainer());
+      trainers.back()->train(2);  // Warm-up: pool fill.
+    }
   }
+  std::vector<double> best_ms(rows.size(), 0.0);
   for (int round = 0; round < rounds; ++round) {
-    for (std::size_t i = 0; i < modes.size(); ++i) {
-      set_kernel_mode(modes[i]);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      set_kernel_threads(rows[i].pool_threads);
+      set_wave_exec(rows[i].driver == "serial" ? WaveExec::kSerial
+                                               : WaveExec::kThreads);
       const double start = now_ms();
       trainers[i]->train(iters);
       const double ms = now_ms() - start;
@@ -275,13 +321,12 @@ std::vector<EndToEndRow> run_end_to_end(int iters, int rounds) {
       }
     }
   }
-  std::vector<EndToEndRow> rows;
-  for (std::size_t i = 0; i < modes.size(); ++i) {
-    EndToEndRow row;
-    row.mode = kernel_mode_name(modes[i]);
-    row.iters_per_s = iters / (best_ms[i] / 1000.0);
-    row.speedup = row.iters_per_s / (iters / (best_ms[0] / 1000.0));
-    rows.push_back(std::move(row));
+  set_wave_exec(WaveExec::kAuto);
+  set_kernel_threads(0);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    rows[i].iters_per_s = iters / (best_ms[i] / 1000.0);
+    const std::size_t serial = i - i % 2;  // Serial row of this width.
+    rows[i].vs_serial = best_ms[serial] / best_ms[i];
   }
   return rows;
 }
@@ -290,28 +335,29 @@ std::vector<EndToEndRow> run_end_to_end(int iters, int rounds) {
 
 struct OpBreakdown {
   double wall_ms = 0.0;
-  double matmul_ms = 0.0;   ///< Summed across stage threads.
-  double eltwise_ms = 0.0;  ///< Summed across stage threads.
+  double matmul_ms = 0.0;   ///< Summed across wave workers.
+  double eltwise_ms = 0.0;  ///< Summed across wave workers.
   std::uint64_t matmul_calls = 0;
   std::uint64_t eltwise_calls = 0;
   double nongemm_share = 0.0;  ///< eltwise / (matmul + eltwise) time.
 };
 
 /// Where the trainer's compute time goes, via the runtime op profiler:
-/// matmul vs dispatched-eltwise nanoseconds accumulated across all stage
-/// threads over `iters` iterations in the blocked mode. The op times
-/// are thread-summed, so they can exceed wall time on a multi-core box;
-/// the share is the meaningful number.
+/// matmul vs dispatched-eltwise nanoseconds accumulated across all wave
+/// workers over `iters` iterations of the train_wide shape, at the default
+/// pool width and wave driver. The op times are thread-summed, so they can
+/// exceed wall time on a multi-core box; the share is the meaningful
+/// number.
 OpBreakdown run_op_breakdown(int iters) {
   set_kernel_mode(KernelMode::kBlocked);
   set_kernel_threads(0);
-  const DdpmProblem problem(e2e_problem_config());
-  PipelineTrainer trainer(problem, e2e_config());
-  trainer.train(2);  // Warm-up.
+  const WideShape wide;
+  const std::unique_ptr<PipelineTrainer> trainer = wide.trainer();
+  trainer->train(2);  // Warm-up.
   reset_op_profile();
   set_op_profiling(true);
   const double start = now_ms();
-  trainer.train(iters);
+  trainer->train(iters);
   const double wall = now_ms() - start;
   set_op_profiling(false);
   const RuntimeOpProfile prof = op_profile();
@@ -412,24 +458,26 @@ int main(int argc, char** argv) {
   }
 
   const int e2e_iters = quick ? 6 : 20;
-  const int e2e_rounds = quick ? 2 : 3;
+  const int e2e_rounds = quick ? 2 : 5;
+  const int e2e_max_threads = quick ? 2 : 4;
   TensorPool::global().reset_stats();
-  std::printf("\n%-18s %10s %9s   (PipelineTrainer, best of %d x %d iters, "
-              "interleaved)\n",
-              "mode", "iters/s", "speedup", e2e_rounds, e2e_iters);
+  std::printf("\n%5s %-7s %2s %10s %10s   (train_wide-shaped PipelineTrainer, "
+              "best of %d x %d iters, interleaved)\n",
+              "pool", "driver", "W", "iters/s", "vs_serial", e2e_rounds,
+              e2e_iters);
   const std::vector<EndToEndRow> e2e_rows =
-      run_end_to_end(e2e_iters, e2e_rounds);
+      run_end_to_end(e2e_iters, e2e_rounds, e2e_max_threads);
   for (const EndToEndRow& row : e2e_rows) {
-    std::printf("%-18s %10.1f %8.2fx\n", row.mode.c_str(), row.iters_per_s,
-                row.speedup);
+    std::printf("%5d %-7s %2d %10.1f %9.2fx\n", row.pool_threads,
+                row.driver.c_str(), row.wave_width, row.iters_per_s,
+                row.vs_serial);
   }
-  set_kernel_mode(KernelMode::kBlocked);
 
-  // GEMM vs non-GEMM: where the blocked trainer's compute time goes,
-  // accumulated across stage threads by the runtime op profiler.
+  // GEMM vs non-GEMM: where the trainer's compute time goes, accumulated
+  // across wave workers by the runtime op profiler.
   const OpBreakdown bd = run_op_breakdown(e2e_iters);
   std::printf(
-      "\nop breakdown (blocked, %d iters): wall %.1f ms, "
+      "\nop breakdown (train_wide, %d iters): wall %.1f ms, "
       "matmul %.1f ms / %llu calls, eltwise %.1f ms / %llu calls, "
       "non-GEMM share %.1f%%\n",
       e2e_iters, bd.wall_ms, bd.matmul_ms,
@@ -454,11 +502,10 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(pool.alignment_bytes));
 
   std::ofstream json(out_path);
-  json << "{\n  \"host\": {\"cpu\": \"" << cpu
-       << "\", \"hardware_threads\": " << cores
-       << ", \"kernel_threads\": " << kernel_threads() << "},\n"
-       << "  \"simd\": \"" << simd_level_name(simd_level())
-       << "\",\n  \"matmul\": [\n";
+  json << "{\n  \"provenance\": "
+       << dpipe::bench::provenance_json(kTimingIdiom)
+       << ",\n  \"kernel_threads\": " << kernel_threads()
+       << ",\n  \"matmul\": [\n";
   for (std::size_t i = 0; i < matmul_rows.size(); ++i) {
     const MatmulRow& r = matmul_rows[i];
     json << "    {\"op\": \"" << r.op << "\", \"m\": " << r.m
@@ -489,12 +536,14 @@ int main(int argc, char** argv) {
   json << "  ],\n  \"end_to_end\": [\n";
   for (std::size_t i = 0; i < e2e_rows.size(); ++i) {
     const EndToEndRow& r = e2e_rows[i];
-    json << "    {\"mode\": \"" << r.mode
-         << "\", \"iters_per_s\": " << r.iters_per_s
-         << ", \"speedup\": " << r.speedup << "}"
+    json << "    {\"pool_threads\": " << r.pool_threads
+         << ", \"driver\": \"" << r.driver
+         << "\", \"wave_width\": " << r.wave_width
+         << ", \"iters_per_s\": " << r.iters_per_s
+         << ", \"vs_serial\": " << r.vs_serial << "}"
          << (i + 1 < e2e_rows.size() ? "," : "") << "\n";
   }
-  json << "  ],\n  \"op_breakdown\": {\"mode\": \"blocked\", "
+  json << "  ],\n  \"op_breakdown\": {\"shape\": \"train_wide\", "
        << "\"iters\": " << e2e_iters << ", \"wall_ms\": " << bd.wall_ms
        << ", \"matmul_ms\": " << bd.matmul_ms
        << ", \"matmul_calls\": " << bd.matmul_calls

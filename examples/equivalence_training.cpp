@@ -1,5 +1,5 @@
 // Functional demonstration of the paper's §3.2 equivalence claim using the
-// mini training runtime: a real (thread-per-stage, channel-connected) 1F1B
+// mini training runtime: a real (task-per-device, channel-connected) 1F1B
 // pipeline with cross-iteration frozen-encoder execution learns exactly the
 // same parameters as single-process full-batch training.
 

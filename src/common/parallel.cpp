@@ -2,6 +2,10 @@
 
 #include <cstdlib>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include "common/error.h"
 
 namespace dpipe {
@@ -28,6 +32,16 @@ int default_thread_count() {
       return parsed;
     }
   }
+#if defined(__linux__)
+  // The CPUs this process may run on: a taskset-pinned process gets a
+  // pool no wider than its pin.
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) == 0 &&
+      CPU_COUNT(&allowed) >= 1) {
+    return CPU_COUNT(&allowed);
+  }
+#endif
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
 }

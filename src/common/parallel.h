@@ -13,7 +13,9 @@ namespace dpipe {
 
 /// Thread count used by parallel algorithms when the caller does not pin
 /// one: the DPIPE_THREADS environment variable if set to a positive
-/// integer, otherwise std::thread::hardware_concurrency() (minimum 1).
+/// integer, otherwise the number of CPUs in the process's affinity mask
+/// (Linux; so `taskset` caps it), falling back to
+/// std::thread::hardware_concurrency() (minimum 1).
 [[nodiscard]] int default_thread_count();
 
 /// True while the calling thread is executing inside a ThreadPool batch

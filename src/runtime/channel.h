@@ -1,8 +1,6 @@
 #pragma once
 
-#include <condition_variable>
 #include <mutex>
-#include <optional>
 #include <queue>
 #include <stdexcept>
 
@@ -15,10 +13,12 @@ enum class TryPop {
   kClosed,  ///< Closed and fully drained: no value will ever arrive.
 };
 
-/// Blocking FIFO channel between pipeline stage threads.
+/// FIFO channel between pipeline stage tasks, read by polling.
 ///
-/// Supports cooperative shutdown: `close()` wakes every blocked consumer,
-/// after which `pop()` drains any queued values and then returns nullopt.
+/// Consumers never wait inside the channel: try_pop() reports an empty
+/// open channel and the wave scheduler resumes the consumer later, so a
+/// blocked stage holds no thread. Supports cooperative shutdown: after
+/// `close()`, try_pop() drains any queued values and then reports kClosed.
 /// `push()` reports whether the value was enqueued: it returns false on a
 /// closed channel (the consumer is gone — this happens only while a wave is
 /// being aborted) so producers can distinguish an abort from a delivered
@@ -27,33 +27,18 @@ template <typename T>
 class Channel {
  public:
   [[nodiscard]] bool push(T value) {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      if (closed_) {
-        return false;
-      }
-      queue_.push(std::move(value));
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (closed_) {
+      return false;
     }
-    cv_.notify_one();
+    queue_.push(std::move(value));
     return true;
   }
 
-  /// Blocks until a value is available or the channel is closed and empty.
-  [[nodiscard]] std::optional<T> pop() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [&] { return !queue_.empty() || closed_; });
-    if (queue_.empty()) {
-      return std::nullopt;
-    }
-    std::optional<T> value = std::move(queue_.front());
-    queue_.pop();
-    return value;
-  }
-
-  /// Non-blocking pop for the cooperative wave scheduler. Dequeues into
-  /// `out` whenever a value is queued — including after close(), matching
-  /// pop()'s drain-then-nullopt order — otherwise reports whether one can
-  /// still arrive (kEmpty) or never will (kClosed).
+  /// Non-blocking pop. Dequeues into `out` whenever a value is queued —
+  /// including after close(), so queued values drain first — otherwise
+  /// reports whether one can still arrive (kEmpty) or never will
+  /// (kClosed).
   [[nodiscard]] TryPop try_pop(T& out) {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (!queue_.empty()) {
@@ -64,30 +49,27 @@ class Channel {
     return closed_ ? TryPop::kClosed : TryPop::kEmpty;
   }
 
-  /// Marks the channel closed and wakes all blocked consumers. Idempotent.
+  /// Marks the channel closed: later pushes are refused, and consumers see
+  /// kClosed once the queue drains. Idempotent.
   void close() {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      closed_ = true;
-    }
-    cv_.notify_all();
+    const std::lock_guard<std::mutex> lock(mutex_);
+    closed_ = true;
   }
 
  private:
   std::mutex mutex_;
-  std::condition_variable cv_;
   std::queue<T> queue_;
   bool closed_ = false;
 };
 
-/// Thrown by a stage thread killed via PipelineRtConfig::fault — the
+/// Thrown by a stage task killed via PipelineRtConfig::fault — the
 /// test-visible stand-in for a crashed pipeline worker.
 class StageFailure : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
 
-/// Test-visible fault injection: the matching stage thread throws
+/// Test-visible fault injection: the matching stage task throws
 /// StageFailure while processing forward micro-batch `micro` of training
 /// iteration `iteration` on replica `replica`. iteration < 0 disables it.
 struct RtFaultInjection {

@@ -16,58 +16,34 @@
 #include "core/schedule/schedule.h"
 #include "profiler/cost_model.h"
 #include "profiler/profile_db.h"
+#include "runtime/intraop.h"
+#include "runtime/kernels.h"
 #include "runtime/pool.h"
 
 namespace dpipe::rt {
 
 namespace {
 
-/// Cross-replica rendezvous realizing kAllReduceGrads: all `parties` stage
-/// threads block until the last arriver runs the reduction (under the lock,
-/// so every replica's accumulated gradients happen-before the reduce and
-/// the reduced values happen-before every waiter's optimizer step).
-/// Single-use. abort() releases waiters with a false return.
+/// Cross-replica rendezvous realizing kAllReduceGrads: each of `parties`
+/// stage tasks registers its arrival once, and the last arriver runs the
+/// reduction under the lock, so every replica's accumulated gradients
+/// happen-before the reduce and the reduced values happen-before every
+/// peer's optimizer step. Tasks poll instead of waiting: the wave
+/// scheduler resumes a pending task later. Single-use; abort() makes every
+/// later poll report kAborted.
 class ReduceBarrier {
  public:
   explicit ReduceBarrier(int parties) : parties_(parties) {}
 
-  template <typename Fn>
-  [[nodiscard]] bool arrive_and_wait(Fn&& reduce) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    bool arrived = false;
-    if (arrive_locked(arrived, reduce) == TryArrive::kPending) {
-      cv_.wait(lock, [&] { return done_ || aborted_; });
-    }
-    return !aborted_;
-  }
-
   enum class TryArrive { kReduced, kPending, kAborted };
 
-  /// Non-blocking variant for the cooperative scheduler. `arrived` is the
-  /// calling task's own registration flag: the first call registers the
-  /// arrival, later calls only poll. kReduced means the reduction has run
-  /// and the task may proceed; kPending means peers are still missing. The
-  /// last arriver runs the reduction inline with the same abort-on-throw
-  /// semantics as arrive_and_wait().
+  /// `arrived` is the calling task's own registration flag: the first call
+  /// registers the arrival, later calls only poll. kReduced means the
+  /// reduction has run and the task may proceed; kPending means peers are
+  /// still missing. A throwing reduction aborts the barrier.
   template <typename Fn>
   [[nodiscard]] TryArrive try_arrive(bool& arrived, Fn&& reduce) {
     const std::lock_guard<std::mutex> lock(mutex_);
-    return arrive_locked(arrived, reduce);
-  }
-
-  void abort() {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      aborted_ = true;
-    }
-    cv_.notify_all();
-  }
-
- private:
-  /// Registers the caller's arrival once; the last arriver runs the
-  /// reduction (a throw aborts the barrier). Caller holds mutex_.
-  template <typename Fn>
-  [[nodiscard]] TryArrive arrive_locked(bool& arrived, Fn& reduce) {
     if (aborted_) {
       return TryArrive::kAborted;
     }
@@ -78,18 +54,21 @@ class ReduceBarrier {
           reduce();
         } catch (...) {
           aborted_ = true;
-          cv_.notify_all();
           throw;
         }
         done_ = true;
-        cv_.notify_all();
       }
     }
     return done_ ? TryArrive::kReduced : TryArrive::kPending;
   }
 
+  void abort() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    aborted_ = true;
+  }
+
+ private:
   std::mutex mutex_;
-  std::condition_variable cv_;
   int parties_;
   int arrived_ = 0;
   bool done_ = false;
@@ -106,7 +85,8 @@ std::atomic<WaveExec> g_wave_exec{WaveExec::kAuto};
 
 /// The driver of one wave whose largest task is estimated at
 /// `max_task_flops`: the set_wave_exec override when one is set, else
-/// kAuto's rule (threads under ThreadSanitizer).
+/// kAuto's rule over the intra-op pool width (kThreads under
+/// ThreadSanitizer).
 [[nodiscard]] WaveExec wave_driver(double max_task_flops) {
   const WaveExec forced = wave_exec();
   if (forced != WaveExec::kAuto) {
@@ -116,86 +96,104 @@ std::atomic<WaveExec> g_wave_exec{WaveExec::kAuto};
   (void)max_task_flops;
   return WaveExec::kThreads;
 #else
-  static const unsigned hardware_threads =
-      std::thread::hardware_concurrency();
-  return detail::select_wave_exec(max_task_flops, hardware_threads);
+  return detail::select_wave_exec(max_task_flops, kernel_threads());
 #endif
 }
 
 /// Outcome of one wave task's run() call.
 enum class TaskStatus { kBlocked, kDone };
 
-/// Runs one wave's tasks to completion under wave_driver(max_task_flops)
-/// and returns each task's error (null if it finished cleanly), indexed
-/// like `tasks`. A task provides run(bool may_block) -> TaskStatus and
-/// made_progress(). kThreads gives every task its own thread, which calls
-/// run(true) once. kSerial round-robins run(false) on the calling thread:
-/// each call executes until the task's next channel pop or barrier would
-/// block. A task's first error aborts the wave through `abort_wave`, so
-/// its peers drain out of their pops and barriers instead of waiting for a
-/// dead producer; callers choose which recorded error to rethrow.
+/// Runs one wave's tasks to completion and returns each task's error (null
+/// if it finished cleanly), indexed like `tasks`. A task provides
+/// run() -> TaskStatus, which executes until the task's next channel pop
+/// or barrier would block (kBlocked, state kept for the next call) or the
+/// task ends (kDone), and made_progress().
+///
+/// W workers share the tasks: each sweeps them, claims an idle one, runs
+/// it and releases it, so a blocked task holds no thread and a per-task
+/// state (idle / running / done) gives it one runner at a time. W is 1
+/// under kSerial and min(#tasks, pool width) under kThreads. The workers
+/// run as one batch on the intra-op pool (W = 1: inline on the caller,
+/// the historical round-robin); pool threads are in_parallel_region(), so
+/// kernels inside a pooled wave run inline instead of fanning out again.
+/// A busy or nested pool runs worker 0 inline, which finishes every task
+/// alone: the loop never depends on concurrency. A task's first error
+/// aborts the wave through `abort_wave`, so its peers drain out of their
+/// pops and barriers; callers choose which recorded error to rethrow.
 template <typename Task, typename Abort>
 [[nodiscard]] std::vector<std::exception_ptr> run_wave(
     std::vector<Task>& tasks, const Abort& abort_wave,
     double max_task_flops) {
-  std::vector<std::exception_ptr> errors(tasks.size());
-  if (wave_driver(max_task_flops) == WaveExec::kThreads) {
-    std::vector<std::thread> threads;
-    threads.reserve(tasks.size());
-    const auto join_all = [&threads] {
-      for (std::thread& thread : threads) {
-        thread.join();
-      }
-    };
-    try {
-      for (std::size_t t = 0; t < tasks.size(); ++t) {
-        threads.emplace_back([&tasks, &errors, &abort_wave, t] {
-          try {
-            tasks[t].run(true);
-          } catch (...) {
-            errors[t] = std::current_exception();
-            abort_wave();
-          }
-        });
-      }
-    } catch (...) {
-      // A failed spawn: release the started tasks, which would otherwise
-      // wait forever on peers that never ran, and join them before the
-      // wave's state goes out of scope.
-      abort_wave();
-      join_all();
-      throw;
-    }
-    join_all();
-    return errors;
-  }
-  std::vector<char> done(tasks.size(), 0);
-  std::size_t remaining = tasks.size();
-  while (remaining > 0) {
-    bool progressed = false;
-    for (std::size_t t = 0; t < tasks.size(); ++t) {
-      if (done[t] != 0) {
-        continue;
-      }
-      try {
-        if (tasks[t].run(false) == TaskStatus::kBlocked) {
-          progressed = progressed || tasks[t].made_progress();
+  enum : std::uint8_t { kIdle, kRunning, kDone };
+  const std::size_t n = tasks.size();
+  std::vector<std::exception_ptr> errors(n);
+  std::vector<std::atomic<std::uint8_t>> state(n);  // All kIdle.
+  std::atomic<std::size_t> remaining{n};
+  std::atomic<std::uint64_t> epoch{0};  ///< Bumped on every task progress.
+  std::atomic<bool> deadlocked{false};
+  const int width =
+      wave_driver(max_task_flops) == WaveExec::kThreads
+          ? static_cast<int>(std::min<std::size_t>(
+                n, static_cast<std::size_t>(kernel_threads())))
+          : 1;
+  detail::intraop_for_each_worker(width, [&](int worker) {
+    while (remaining.load() > 0 && !deadlocked.load()) {
+      const std::uint64_t epoch_before = epoch.load();
+      bool polled_all = true;
+      bool progressed = false;
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t t = (i + static_cast<std::size_t>(worker)) % n;
+        std::uint8_t claim = kIdle;
+        if (!state[t].compare_exchange_strong(claim, kRunning)) {
+          polled_all = polled_all && claim == kDone;
           continue;
         }
-      } catch (...) {
-        errors[t] = std::current_exception();
-        abort_wave();
+        TaskStatus status = TaskStatus::kDone;
+        try {
+          status = tasks[t].run();
+        } catch (...) {
+          errors[t] = std::current_exception();
+          abort_wave();
+        }
+        if (status == TaskStatus::kDone) {
+          // Count the task out before marking it done: a sweep that skips
+          // every done task must then also see remaining == 0.
+          remaining.fetch_sub(1);
+          epoch.fetch_add(1);
+          state[t].store(kDone);
+          progressed = true;
+        } else {
+          if (tasks[t].made_progress()) {
+            // Bump before the release: a sweep that claims this task after
+            // the release then sees the epoch move.
+            epoch.fetch_add(1);
+            progressed = true;
+          }
+          state[t].store(kIdle);
+        }
       }
-      done[t] = 1;
-      --remaining;
-      progressed = true;
+      if (progressed) {
+        continue;
+      }
+      // No task can progress iff this worker polled every unfinished task
+      // itself, none is running now, and nothing progressed meanwhile: the
+      // program would deadlock under any scheduler. Validated programs
+      // never get here.
+      const bool none_running =
+          std::none_of(state.begin(), state.end(),
+                       [](const std::atomic<std::uint8_t>& s) {
+                         return s.load() == kRunning;
+                       });
+      if (polled_all && none_running && epoch.load() == epoch_before &&
+          remaining.load() > 0) {
+        deadlocked.store(true);
+        return;
+      }
+      std::this_thread::yield();
     }
-    // A full sweep with zero progress means no runnable task exists: the
-    // program would deadlock under any scheduler. Validated programs never
-    // get here.
-    DPIPE_ENSURE(progressed,
-                 "cooperative wave deadlocked: no task can progress");
-  }
+  });
+  DPIPE_ENSURE(!deadlocked.load(),
+               "cooperative wave deadlocked: no task can progress");
   return errors;
 }
 
@@ -220,19 +218,11 @@ template <typename Task, typename Abort>
 
 enum class PopOutcome { kOk, kWouldBlock, kAborted };
 
-/// A wave task's channel receive: waits inside pop() when the task may
-/// block, else polls try_pop() and reports kWouldBlock on an empty open
-/// channel. kAborted means the channel was closed and drained.
+/// A wave task's channel receive: polls try_pop() and reports kWouldBlock
+/// on an empty open channel. kAborted means the channel was closed and
+/// drained.
 template <typename T>
-[[nodiscard]] PopOutcome pop_from(Channel<T>& ch, bool may_block, T& out) {
-  if (may_block) {
-    std::optional<T> value = ch.pop();
-    if (!value.has_value()) {
-      return PopOutcome::kAborted;
-    }
-    out = std::move(*value);
-    return PopOutcome::kOk;
-  }
+[[nodiscard]] PopOutcome pop_from(Channel<T>& ch, T& out) {
   switch (ch.try_pop(out)) {
     case TryPop::kValue:
       return PopOutcome::kOk;
@@ -272,7 +262,7 @@ struct TrainWave {
 struct OneShotTask {
   std::function<void()> work;
 
-  TaskStatus run(bool /*may_block*/) {
+  TaskStatus run() {
     work();
     return TaskStatus::kDone;
   }
@@ -280,18 +270,18 @@ struct OneShotTask {
 };
 
 /// Resumable execution state of one (replica g, device dev) training task —
-/// the historical per-thread lambda body with its locals lifted into
+/// the historical per-thread body with its locals lifted into
 /// members and an instruction cursor. One task walks its device's whole
 /// instruction stream, dispatching each op onto the owned (virtual) stage
 /// it names: per-stage inbox/barrier state is indexed by the stage's slot,
 /// so an interleaved device drives V resumable stage machines from one
 /// cursor. With one stage per device this is exactly the historical
-/// per-(replica, stage) task. The threaded scheduler calls run(true) once:
-/// identical behavior to the old thread body. The cooperative scheduler
-/// calls run(false) repeatedly: the task executes until its next channel
-/// pop or barrier would block, returns kBlocked with all state intact, and
-/// resumes exactly where it stopped. Suspension points carry no partial
-/// arithmetic, so the two schedules produce bit-identical tensors.
+/// per-(replica, stage) task. The wave scheduler calls run() repeatedly,
+/// from whichever worker claims the task: it executes until its next
+/// channel pop or barrier would block, returns kBlocked with all state
+/// intact, and resumes exactly where it stopped. Suspension points carry
+/// no partial arithmetic, so every schedule produces bit-identical
+/// tensors.
 class DeviceExec {
  public:
   DeviceExec(TrainWave& w, int g, int dev)
@@ -310,14 +300,14 @@ class DeviceExec {
         local_grads_(w.M),                      // Last stage's loss grads.
         barrier_arrived_(owned_.size(), 0) {}
 
-  /// Executes instructions from the cursor. With may_block the call waits
-  /// inside channel/barrier ops and never returns kBlocked. Throws on
-  /// stage failure; an aborted wave ends the task silently (kDone), same
-  /// as the historical early `return`.
-  TaskStatus run(bool may_block);
+  /// Executes instructions from the cursor until one would block
+  /// (kBlocked) or the stream ends (kDone). Throws on stage failure; an
+  /// aborted wave ends the task silently (kDone), same as the historical
+  /// early `return`.
+  TaskStatus run();
 
-  /// Whether the latest run(false) call executed at least one instruction
-  /// (the cooperative scheduler's livelock guard).
+  /// Whether the latest run() call executed at least one instruction (the
+  /// wave scheduler's deadlock guard).
   [[nodiscard]] bool made_progress() const { return progressed_; }
 
  private:
@@ -348,7 +338,7 @@ class DeviceExec {
   bool progressed_ = false;
 };
 
-TaskStatus DeviceExec::run(bool may_block) {
+TaskStatus DeviceExec::run() {
   progressed_ = false;
   TensorPool& pool = TensorPool::global();
   while (ip_ < stream_.size()) {
@@ -365,7 +355,7 @@ TaskStatus DeviceExec::run(bool may_block) {
       case InstrKind::kLoadMicroBatch: {
         if (!gate_passed_) {
           int token = 0;
-          switch (pop_from(w_.cond_gate[g_], may_block, token)) {
+          switch (pop_from(w_.cond_gate[g_], token)) {
             case PopOutcome::kOk:
               break;
             case PopOutcome::kWouldBlock:
@@ -391,7 +381,7 @@ TaskStatus DeviceExec::run(bool may_block) {
       case InstrKind::kRecvActivation: {
         const int s = instr.stage;
         Tensor recv;
-        switch (pop_from(w_.act[g_ * w_.S + (s - 1)], may_block, recv)) {
+        switch (pop_from(w_.act[g_ * w_.S + (s - 1)], recv)) {
           case PopOutcome::kOk:
             inbox_act_[w_.b.slot_of_stage(s)][instr.micro] = std::move(recv);
             break;
@@ -405,7 +395,7 @@ TaskStatus DeviceExec::run(bool may_block) {
       case InstrKind::kRecvGradient: {
         const int s = instr.stage;
         Tensor recv;
-        switch (pop_from(w_.grad[g_ * w_.S + s], may_block, recv)) {
+        switch (pop_from(w_.grad[g_ * w_.S + s], recv)) {
           case PopOutcome::kOk:
             inbox_grad_[w_.b.slot_of_stage(s)][instr.micro] = std::move(recv);
             break;
@@ -517,29 +507,22 @@ TaskStatus DeviceExec::run(bool may_block) {
             pool.release(std::move(avg));
           }
         };
-        if (may_block) {
-          if (!w_.barriers[s]->arrive_and_wait(reduce)) {
+        // Registering this task's arrival can complete the barrier for a
+        // peer — that counts as progress for the deadlock guard.
+        bool arrived = barrier_arrived_[w_.b.slot_of_stage(s)] != 0;
+        if (!arrived) {
+          progressed_ = true;
+        }
+        const ReduceBarrier::TryArrive outcome =
+            w_.barriers[s]->try_arrive(arrived, reduce);
+        barrier_arrived_[w_.b.slot_of_stage(s)] = arrived ? 1 : 0;
+        switch (outcome) {
+          case ReduceBarrier::TryArrive::kReduced:
+            break;
+          case ReduceBarrier::TryArrive::kPending:
+            return TaskStatus::kBlocked;
+          case ReduceBarrier::TryArrive::kAborted:
             return finish();  // Wave aborted while waiting for peers.
-          }
-        } else {
-          // Registering this task's arrival can complete the barrier for a
-          // peer — that counts as progress for the livelock guard.
-          bool arrived =
-              barrier_arrived_[w_.b.slot_of_stage(s)] != 0;
-          if (!arrived) {
-            progressed_ = true;
-          }
-          const ReduceBarrier::TryArrive outcome =
-              w_.barriers[s]->try_arrive(arrived, reduce);
-          barrier_arrived_[w_.b.slot_of_stage(s)] = arrived ? 1 : 0;
-          switch (outcome) {
-            case ReduceBarrier::TryArrive::kReduced:
-              break;
-            case ReduceBarrier::TryArrive::kPending:
-              return TaskStatus::kBlocked;
-            case ReduceBarrier::TryArrive::kAborted:
-              return finish();  // Wave aborted while waiting for peers.
-          }
         }
         break;
       }
@@ -583,9 +566,8 @@ void set_wave_exec(WaveExec mode) {
   g_wave_exec.store(mode, std::memory_order_relaxed);
 }
 
-WaveExec detail::select_wave_exec(double max_task_flops,
-                                  unsigned hardware_threads) {
-  return hardware_threads > 1 && max_task_flops >= kThreadedWaveMinTaskFlops
+WaveExec detail::select_wave_exec(double max_task_flops, int pool_width) {
+  return pool_width > 1 && max_task_flops >= kThreadedWaveMinTaskFlops
              ? WaveExec::kThreads
              : WaveExec::kSerial;
 }
@@ -798,7 +780,7 @@ double ProgramInterpreter::train_wave(
   std::vector<Channel<Tensor>> grad(static_cast<std::size_t>(G) * S);
   // The cross-iteration fence: kLoadMicroBatch may not start before this
   // iteration's non-trainable outputs exist. The driver arms the gate once
-  // the conditioning tensor is ready (here: before the wave spawns).
+  // the conditioning tensor is ready (here: before the wave starts).
   std::vector<Channel<int>> cond_gate(G);
   std::vector<std::unique_ptr<ReduceBarrier>> barriers;
   barriers.reserve(S);
@@ -907,7 +889,7 @@ class ForwardExec {
         loaded_(M),
         inbox_(owned_.size(), std::vector<Tensor>(M)) {}
 
-  TaskStatus run(bool may_block) {
+  TaskStatus run() {
     progressed_ = false;
     while (ip_ < stream_.size()) {
       const Instruction& instr = stream_[ip_];
@@ -923,7 +905,7 @@ class ForwardExec {
         case InstrKind::kRecvActivation: {
           const int s = instr.stage;
           Tensor recv;
-          switch (pop_from(act_[s - 1], may_block, recv)) {
+          switch (pop_from(act_[s - 1], recv)) {
             case PopOutcome::kOk:
               inbox_[b_.slot_of_stage(s)][instr.micro] = std::move(recv);
               break;
@@ -965,7 +947,7 @@ class ForwardExec {
     }
     // Discard the stashed contexts of this no-grad pass, per owned stage.
     // Reached only on natural completion (an aborted task skips it, like
-    // the historical early thread exit).
+    // the historical early task exit).
     for (const int s : owned_) {
       for (int m = 0; m < M_; ++m) {
         replica_.net->drop_context_range(b_.module_begin(s),

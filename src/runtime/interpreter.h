@@ -11,17 +11,18 @@
 
 namespace dpipe::rt {
 
-/// How ProgramInterpreter schedules the per-(replica, stage) tasks of a
-/// wave. kThreads spawns one thread per task — the faithful analogue of one
-/// worker process per device. kSerial runs the same tasks as a cooperative
-/// round-robin on the calling thread: a task runs until its next channel
-/// pop or allreduce barrier would block, then yields. Because every value
-/// is a pure function of the inputs (see ProgramInterpreter), the two
-/// schedules are bit-identical; kSerial simply deletes the per-wave thread
-/// spawn/join and context-switch cost, which dominates when tasks are small.
-/// kAuto picks per wave from the wave's own work (detail::select_wave_exec);
-/// ThreadSanitizer builds resolve kAuto to kThreads so their runs keep
-/// checking the threaded driver's interleavings.
+/// How ProgramInterpreter schedules the per-(replica, device) tasks of a
+/// wave. Every task is a resumable state machine that runs until its next
+/// channel pop or allreduce barrier would block, then yields; one
+/// cooperative loop drives them with W workers (DESIGN.md §13). kSerial is
+/// W = 1, a round-robin on the calling thread whose kernels may fan out
+/// over the intra-op pool. kThreads runs W = min(#tasks, pool width)
+/// workers as one batch on the intra-op pool's persistent threads, whose
+/// kernels then run inline — one level of parallelism at a time. Because
+/// every value is a pure function of the inputs (see ProgramInterpreter),
+/// every W is bit-identical. kAuto picks per wave from the wave's own work
+/// (detail::select_wave_exec); ThreadSanitizer builds resolve kAuto to
+/// kThreads so their runs keep checking the pooled interleavings.
 enum class WaveExec { kAuto, kThreads, kSerial };
 
 [[nodiscard]] const char* wave_exec_name(WaveExec mode);
@@ -34,15 +35,16 @@ void set_wave_exec(WaveExec mode);
 namespace detail {
 
 /// Estimated FLOPs of a wave's largest task from which kAuto runs the
-/// threaded driver: inside the crossover band, roughly 0.5-1.5 M FLOPs per
+/// pooled driver: inside the crossover band, roughly 0.5-1.5 M FLOPs per
 /// task, measured on a 4-core AVX2 host (DESIGN.md §13).
 inline constexpr double kThreadedWaveMinTaskFlops = 1e6;
 
-/// kAuto's rule: kThreads when the host has more than one hardware thread
+/// kAuto's rule: kThreads when the intra-op pool (kernel_threads(), which
+/// honours DPIPE_THREADS and set_kernel_threads) is wider than one thread
 /// and the wave's largest task is estimated at kThreadedWaveMinTaskFlops
 /// or more, else kSerial.
 [[nodiscard]] WaveExec select_wave_exec(double max_task_flops,
-                                        unsigned hardware_threads);
+                                        int pool_width);
 
 }  // namespace detail
 
@@ -157,21 +159,21 @@ class ProgramBinding {
 };
 
 /// Executes a bound InstructionProgram on the functional runtime: one
-/// thread per device walks its instruction stream over real tensors,
-/// rt::Channels carry activations/gradients between stage threads, a
+/// task per device walks its instruction stream over real tensors,
+/// rt::Channels carry activations/gradients between stage tasks, a
 /// cross-replica rendezvous realizes kAllReduceGrads, and kOptimizerStep
 /// updates the stage's parameter slice in place. The cross-iteration
 /// kLoadMicroBatch fence is a channel the driver signals once the
 /// iteration's encoder outputs exist; kFrozenForward ops encode their bound
 /// row slice of the *next* iteration's conditioning into the sink tensor.
 ///
-/// All data-parallel replicas execute the program concurrently
-/// (group_size x replicas threads per wave — one per device, each driving
-/// all of its owned virtual stages). Determinism: every value is a
-/// pure function of the inputs — thread interleaving cannot change results
-/// because tensors flow point-to-point, the gradient reduction runs in
-/// ascending replica order under a lock, and per-stage optimizer updates
-/// touch disjoint parameter slices.
+/// All data-parallel replicas execute the program in one wave (group_size
+/// x replicas tasks — one per device, each driving all of its owned
+/// virtual stages), scheduled cooperatively per WaveExec. Determinism:
+/// every value is a pure function of the inputs — task interleaving cannot
+/// change results because tensors flow point-to-point, the gradient
+/// reduction runs in ascending replica order under a lock, and per-stage
+/// optimizer updates touch disjoint parameter slices.
 class ProgramInterpreter {
  public:
   /// Mutable training state of one data-parallel replica.
@@ -211,7 +213,7 @@ class ProgramInterpreter {
       const ReplicaState& replica, const WaveInputs& inputs) const;
 
   /// Executes the iteration-0 preamble streams: every device encodes its
-  /// bound row slice of `cond_raw` into `cond` (one thread per device per
+  /// bound row slice of `cond_raw` into `cond` (one task per device per
   /// replica; rows are disjoint). Also used every iteration when
   /// cross-iteration mode is off — the program then has no steady frozen
   /// ops and the whole non-trainable part runs un-overlapped.

@@ -18,15 +18,15 @@ namespace {
 /// the caller's shape, so the dispatch decision is deterministic.
 constexpr std::int64_t kParallelCostThreshold = 1 << 20;
 
-/// The shared intra-op pool. parallel_for is not reentrant and the pipeline
-/// trainer's stage threads call kernels concurrently, so entry is guarded
-/// by a try-lock. A loser only degrades to the caller-inline loop when the
-/// pool is *genuinely busy* (a fan-out batch is in flight, tracked by
-/// fanout_active); a transient loss — the holder is still between locking
-/// and fanning out, or merely rebuilding the pool — blocks briefly for its
-/// own turn instead of silently serializing. Threads already inside any
-/// ThreadPool batch (in_parallel_region) always inline: blocking there
-/// could deadlock the pool on itself.
+/// The shared intra-op pool. parallel_for is not reentrant and independent
+/// callers (trainers, serial waves, tests) may enter concurrently, so entry
+/// is guarded by a try-lock. A loser only degrades to the caller-inline
+/// loop when the pool is *genuinely busy* (a fan-out batch is in flight,
+/// tracked by fanout_active); a transient loss — the holder is still
+/// between locking and fanning out, or merely rebuilding the pool — blocks
+/// briefly for its own turn instead of silently serializing. Threads
+/// already inside any ThreadPool batch (in_parallel_region) always inline:
+/// blocking there could deadlock the pool on itself.
 struct IntraOpPool {
   std::mutex run_mutex;
   std::atomic<bool> fanout_active{false};  ///< A batch is in flight.
@@ -57,10 +57,9 @@ std::atomic<std::uint64_t> g_eltwise_calls{0};
 
 }  // namespace
 
-void intraop_run_tasks(int num_tasks, std::int64_t cost,
-                       void (*fn)(void* ctx, int task), void* ctx) {
-  if (num_tasks > 1 && cost >= kParallelCostThreshold &&
-      !in_parallel_region()) {
+void intraop_run_workers(int num_workers, void (*fn)(void* ctx, int worker),
+                         void* ctx) {
+  if (num_workers > 1 && !in_parallel_region()) {
     IntraOpPool& kp = intraop_pool();
     std::unique_lock<std::mutex> lock(kp.run_mutex, std::try_to_lock);
     if (!lock.owns_lock() &&
@@ -75,8 +74,8 @@ void intraop_run_tasks(int num_tasks, std::int64_t cost,
         kp.fanout_active.store(true, std::memory_order_release);
         try {
           pool->parallel_for(
-              static_cast<std::size_t>(num_tasks),
-              [&](std::size_t t) { fn(ctx, static_cast<int>(t)); });
+              static_cast<std::size_t>(num_workers),
+              [&](std::size_t w) { fn(ctx, static_cast<int>(w)); });
         } catch (...) {
           kp.fanout_active.store(false, std::memory_order_release);
           throw;
@@ -85,6 +84,17 @@ void intraop_run_tasks(int num_tasks, std::int64_t cost,
         return;
       }
     }
+  }
+  for (int w = 0; w < num_workers; ++w) {
+    fn(ctx, w);
+  }
+}
+
+void intraop_run_tasks(int num_tasks, std::int64_t cost,
+                       void (*fn)(void* ctx, int task), void* ctx) {
+  if (cost >= kParallelCostThreshold) {
+    intraop_run_workers(num_tasks, fn, ctx);
+    return;
   }
   for (int t = 0; t < num_tasks; ++t) {
     fn(ctx, t);

@@ -28,11 +28,13 @@ enum class KernelMode {
 [[nodiscard]] KernelMode kernel_mode();
 void set_kernel_mode(KernelMode mode);
 
-/// Width of the intra-op worker pool. The pool is created lazily from
-/// DPIPE_THREADS / hardware_concurrency; set_kernel_threads(n) rebuilds it
-/// with n threads (n <= 0 restores the default). Results never depend on
-/// this value — the task decomposition is fixed and every output element is
-/// computed whole by one task — only wall time does.
+/// Width of the intra-op worker pool, which also runs the interpreter's
+/// pooled waves (W <= this width). The pool is created lazily from
+/// default_thread_count() (DPIPE_THREADS, else the CPUs the process may
+/// run on); set_kernel_threads(n) rebuilds it with n threads (n <= 0
+/// restores the default). Results never depend on this value — the task
+/// decomposition is fixed and every output element is computed whole by
+/// one task — only wall time does.
 [[nodiscard]] int kernel_threads();
 void set_kernel_threads(int num_threads);
 
@@ -82,7 +84,7 @@ void matmul_nt_into(Tensor& out, const Tensor& a, const Tensor& b,
 // buckets, used by bench_runtime_kernels' GEMM-vs-non-GEMM breakdown.
 // Overhead when disabled is one relaxed atomic load per op; when enabled,
 // one steady_clock pair and two relaxed atomic adds per op. Counters are
-// cumulative across threads (stage threads included) until reset.
+// cumulative across threads (wave workers included) until reset.
 
 struct RuntimeOpProfile {
   std::uint64_t matmul_ns = 0;

@@ -214,8 +214,8 @@ void PipelineTrainer::train_one_iteration() {
     }
   }
 
-  // The trainable wave: all replicas execute the program concurrently
-  // (stages x replicas threads); allreduce + optimizer steps are
+  // The trainable wave: all replicas execute the program in one wave
+  // (devices x replicas tasks); allreduce + optimizer steps are
   // instructions inside it.
   const double sse =
       interpreter_->train_wave(states, wave, iteration_, config_.fault, log);
@@ -252,7 +252,7 @@ void PipelineTrainer::train(int iterations) {
     try {
       train_one_iteration();
     } catch (...) {
-      // The wave already joined its threads; scrub the partial gradients
+      // The wave already finished its workers; scrub the partial gradients
       // and stashed contexts so destruction (or restore) is clean.
       failed_ = true;
       reset_transient_state();

@@ -29,7 +29,7 @@ namespace dpipe::rt {
 /// simply destroyed instead are freed normally, so forgetting a release is
 /// a missed optimization, never a bug.
 ///
-/// Thread-safe: pipeline stage threads acquire/release concurrently.
+/// Thread-safe: pipeline wave workers acquire/release concurrently.
 class TensorPool {
  public:
   /// Elements per alignment granule; bucket keys are multiples of this.

@@ -8,15 +8,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <filesystem>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/instr/validate.h"
 #include "engine/engine.h"
 #include "runtime/dp_trainer.h"
 #include "runtime/interpreter.h"
+#include "runtime/intraop.h"
+#include "runtime/kernels.h"
 #include "runtime/pipeline_exec.h"
 
 namespace dpipe::rt {
@@ -181,46 +187,111 @@ TEST(Interpreter, CrossIterationBitExactWithAdam) {
   }
 }
 
-/// Restores the default wave-executor selection on scope exit.
+/// Restores the default wave-executor selection and intra-op pool width on
+/// scope exit.
 struct WaveExecGuard {
-  ~WaveExecGuard() { set_wave_exec(WaveExec::kAuto); }
+  ~WaveExecGuard() {
+    set_wave_exec(WaveExec::kAuto);
+    set_kernel_threads(0);
+  }
 };
 
-/// Trains `cfg` (on `program` when given, else the trainer's own lowering)
-/// once per wave executor and requires bit-identical trajectories and
-/// identical per-device execution logs.
-void expect_serial_matches_threaded(const DdpmProblem& problem,
-                                    const PipelineRtConfig& cfg,
-                                    const InstructionProgram* program,
-                                    int iterations) {
+/// Builds a trainer for `cfg` (on `program` when given, else the trainer's
+/// own lowering).
+std::unique_ptr<PipelineTrainer> make_trainer(
+    const DdpmProblem& problem, const PipelineRtConfig& cfg,
+    const InstructionProgram* program) {
+  return program != nullptr
+             ? std::make_unique<PipelineTrainer>(problem, cfg, *program)
+             : std::make_unique<PipelineTrainer>(problem, cfg);
+}
+
+/// Requires bit-identical trajectories and identical per-device execution
+/// logs from two trainers.
+void expect_same_run(const PipelineTrainer& a, const PipelineTrainer& b) {
+  EXPECT_FLOAT_EQ(params_diff(a.snapshot_params(), b.snapshot_params()),
+                  0.0f);
+  ASSERT_EQ(a.losses().size(), b.losses().size());
+  for (std::size_t i = 0; i < a.losses().size(); ++i) {
+    EXPECT_DOUBLE_EQ(a.losses()[i], b.losses()[i]) << i;
+  }
+  EXPECT_EQ(a.execution_log(), b.execution_log());
+}
+
+/// Trains `cfg` once on the serial driver and once on the pooled driver
+/// for every wave width W in {1, 2, 4, num_tasks} (pinned through the
+/// intra-op pool width) and requires every run to match the serial one.
+void expect_every_width_matches_serial(const DdpmProblem& problem,
+                                       const PipelineRtConfig& cfg,
+                                       const InstructionProgram* program,
+                                       int iterations, int num_tasks) {
   const WaveExecGuard guard;
-  const auto train = [&](WaveExec exec) {
+  const auto train = [&](WaveExec exec, int pool_width) {
+    set_kernel_threads(pool_width);
     set_wave_exec(exec);
     EXPECT_EQ(wave_exec(), exec);
-    auto trainer = program != nullptr
-                       ? std::make_unique<PipelineTrainer>(problem, cfg,
-                                                           *program)
-                       : std::make_unique<PipelineTrainer>(problem, cfg);
+    auto trainer = make_trainer(problem, cfg, program);
     trainer->train(iterations);
     return trainer;
   };
-  const auto threaded = train(WaveExec::kThreads);
-  const auto serial = train(WaveExec::kSerial);
-  EXPECT_FLOAT_EQ(params_diff(threaded->snapshot_params(),
-                              serial->snapshot_params()),
-                  0.0f);
-  ASSERT_EQ(threaded->losses().size(), serial->losses().size());
-  for (std::size_t i = 0; i < threaded->losses().size(); ++i) {
-    EXPECT_DOUBLE_EQ(threaded->losses()[i], serial->losses()[i]);
+  const auto serial = train(WaveExec::kSerial, 0);
+  for (const int width : {1, 2, 4, num_tasks}) {
+    SCOPED_TRACE("W=" + std::to_string(width));
+    const auto pooled = train(WaveExec::kThreads, width);
+    expect_same_run(*serial, *pooled);
   }
-  EXPECT_EQ(threaded->execution_log(), serial->execution_log());
 }
 
+/// The wide interleaved shape of the benchmark's train_wide: hidden 256,
+/// two devices each owning two virtual stages, two replicas (four train
+/// tasks), Adam, fed through the external-program constructor, with waves
+/// far above the pooled driver's work threshold.
+struct WideProgram {
+  DdpmProblem problem;
+  TrainerLowering lowering;
+  PipelineRtConfig cfg;
+  static constexpr int kTasks = 4;  ///< Replicas x devices.
+
+  WideProgram() : problem(wide_config()) {
+    TrainerLoweringSpec spec;
+    spec.num_stages = 2;
+    spec.num_microbatches = 4;
+    spec.data_parallel_degree = 2;
+    spec.global_batch = 256;
+    spec.cross_iteration = true;
+    spec.num_modules = static_cast<int>(problem.make_backbone()->size());
+    spec.family = ScheduleFamily::kInterleaved;
+    spec.vstages = 2;
+    lowering = lower_trainer_program(spec);
+    cfg.num_stages = 2;
+    cfg.num_microbatches = 4;
+    cfg.data_parallel_degree = 2;
+    cfg.global_batch = 256;
+    cfg.cross_iteration = true;
+    cfg.use_adam = true;
+    cfg.lr = 1e-3f;
+    cfg.record_execution = true;
+  }
+
+  [[nodiscard]] std::unique_ptr<PipelineTrainer> trainer(
+      const PipelineRtConfig& config) const {
+    return make_trainer(problem, config, &lowering.program);
+  }
+
+ private:
+  static DdpmConfig wide_config() {
+    DdpmConfig dc;
+    dc.hidden = 256;
+    dc.depth = 6;
+    return dc;
+  }
+};
+
 TEST(Interpreter, WaveExecSerialMatchesThreadedBitExact) {
-  // The cooperative serial scheduler is a pure scheduling change: with
-  // self-conditioning (forward waves), data parallelism (allreduce
-  // barriers), Adam, and cross-iteration frozen overlap all active, the
-  // serial and threaded executions produce bit-identical trajectories and
+  // The wave driver is a pure scheduling change: with self-conditioning
+  // (forward waves), data parallelism (allreduce barriers), Adam, and
+  // cross-iteration frozen overlap all active, the serial driver and the
+  // pooled driver at every width produce bit-identical trajectories and
   // identical per-device execution logs.
   {
     DdpmConfig dc;
@@ -236,50 +307,133 @@ TEST(Interpreter, WaveExecSerialMatchesThreadedBitExact) {
     cfg.use_adam = true;
     cfg.lr = 0.01f;
     cfg.record_execution = true;
-    expect_serial_matches_threaded(problem, cfg, nullptr, 8);
+    expect_every_width_matches_serial(problem, cfg, nullptr, 8,
+                                      /*num_tasks=*/6);
   }
   {
-    // The wide interleaved shape: hidden 256, two devices each owning two
-    // virtual stages, fed through the external-program constructor, with
-    // Adam and kernels large enough to fan out over the intra-op pool.
-    DdpmConfig dc;
-    dc.hidden = 256;
-    dc.depth = 6;
-    const DdpmProblem problem(dc);
-    TrainerLoweringSpec spec;
-    spec.num_stages = 2;
-    spec.num_microbatches = 4;
-    spec.data_parallel_degree = 2;
-    spec.global_batch = 256;
-    spec.cross_iteration = true;
-    spec.num_modules = static_cast<int>(problem.make_backbone()->size());
-    spec.family = ScheduleFamily::kInterleaved;
-    spec.vstages = 2;
-    const TrainerLowering lowering = lower_trainer_program(spec);
-    PipelineRtConfig cfg;
-    cfg.num_stages = 2;
-    cfg.num_microbatches = 4;
-    cfg.data_parallel_degree = 2;
-    cfg.global_batch = 256;
-    cfg.cross_iteration = true;
-    cfg.use_adam = true;
-    cfg.lr = 1e-3f;
-    cfg.record_execution = true;
-    expect_serial_matches_threaded(problem, cfg, &lowering.program, 4);
+    const WideProgram wide;
+    expect_every_width_matches_serial(wide.problem, wide.cfg,
+                                      &wide.lowering.program, 4,
+                                      WideProgram::kTasks);
   }
 }
 
+TEST(Interpreter, PooledWaveFallsBackInlineWhenPoolBusy) {
+  // Another thread holds an intra-op batch for the whole run, so the
+  // pooled wave cannot get the pool: its worker 0 must finish every task
+  // inline on the caller, bit-identical to the serial driver.
+  const WideProgram wide;
+  const WaveExecGuard guard;
+  set_kernel_threads(4);
+  set_wave_exec(WaveExec::kSerial);
+  const auto serial = wide.trainer(wide.cfg);
+  serial->train(3);
+
+  set_wave_exec(WaveExec::kThreads);
+  auto pooled = wide.trainer(wide.cfg);
+  std::atomic<bool> held{false};
+  std::atomic<bool> release{false};
+  std::thread holder([&] {
+    detail::intraop_for_each_worker(2, [&](int worker) {
+      if (worker == 0) {
+        held.store(true);
+        while (!release.load()) {
+          std::this_thread::yield();
+        }
+      }
+    });
+  });
+  while (!held.load()) {
+    std::this_thread::yield();
+  }
+  pooled->train(3);  // Completes while the pool is still held.
+  release.store(true);
+  holder.join();
+  expect_same_run(*serial, *pooled);
+}
+
+TEST(Interpreter, PooledWaveCreatesNoThreads) {
+  // The pooled driver runs on the intra-op pool's persistent workers: the
+  // process's thread count never rises while a pooled trainer runs.
+  namespace fs = std::filesystem;
+  const fs::path tasks_dir = "/proc/self/task";
+  std::error_code ec;
+  if (!fs::is_directory(tasks_dir, ec)) {
+    GTEST_SKIP() << "no /proc/self/task on this platform";
+  }
+  const auto count_threads = [&] {
+    return static_cast<int>(std::distance(fs::directory_iterator(tasks_dir),
+                                          fs::directory_iterator()));
+  };
+  const WideProgram wide;
+  const WaveExecGuard guard;
+  set_kernel_threads(4);
+  set_wave_exec(WaveExec::kThreads);
+  auto trainer = wide.trainer(wide.cfg);
+  trainer->train(1);  // Warm-up: the pool exists from here on.
+  const int before = count_threads();
+  std::atomic<bool> stop{false};
+  std::atomic<int> most{0};
+  std::thread monitor([&] {
+    do {  // Samples at least once, however late the monitor starts.
+      most.store(std::max(most.load(), count_threads()));
+      std::this_thread::yield();
+    } while (!stop.load());
+  });
+  trainer->train(4);
+  stop.store(true);
+  monitor.join();
+  EXPECT_EQ(most.load(), before + 1);  // + the monitor itself.
+  EXPECT_EQ(count_threads(), before);
+}
+
+TEST(PipelineTrainer, PooledWaveFailureUnwindsAndRestoresBitExactly) {
+  // A stage failure inside a pooled wave (W = 4) is rethrown, its peers
+  // drain out of their pops and barriers, the trainer is poisoned, and
+  // restoring the last checkpoint resumes the uninterrupted trajectory
+  // bit for bit.
+  const WideProgram wide;
+  const WaveExecGuard guard;
+  set_kernel_threads(WideProgram::kTasks);
+  set_wave_exec(WaveExec::kThreads);
+  const int total_iterations = 6;
+  PipelineRtConfig cfg = wide.cfg;
+  cfg.record_execution = false;
+  cfg.checkpoint_interval = 2;
+  PipelineRtConfig doomed = cfg;
+  doomed.fault.iteration = 3;
+  doomed.fault.stage = 1;
+  doomed.fault.micro = 2;
+  doomed.fault.replica = 1;
+
+  const auto victim = wide.trainer(doomed);
+  EXPECT_THROW(victim->train(total_iterations), StageFailure);
+  EXPECT_TRUE(victim->failed());
+  EXPECT_EQ(victim->iteration(), 3);
+  EXPECT_THROW(victim->train(1), std::invalid_argument);  // Poisoned.
+  const TrainerCheckpoint ckpt = victim->last_checkpoint();
+  EXPECT_EQ(ckpt.iteration, 2);
+
+  victim->arm_fault(RtFaultInjection{});  // Disarm, then resume.
+  victim->restore(ckpt);
+  victim->train(total_iterations - ckpt.iteration);
+  const auto uninterrupted = wide.trainer(cfg);
+  uninterrupted->train(total_iterations);
+  expect_same_run(*uninterrupted, *victim);
+}
+
 TEST(Interpreter, AutoWaveExecPicksDriverFromTaskWork) {
-  // kAuto threads a wave only when its largest task clears the measured
-  // crossover and the host has a second hardware thread to run it on.
+  // kAuto pools a wave only when its largest task clears the measured
+  // crossover and the intra-op pool has a second thread to run it on.
   const double k = detail::kThreadedWaveMinTaskFlops;
   EXPECT_EQ(detail::select_wave_exec(0.0, 4), WaveExec::kSerial);
   EXPECT_EQ(detail::select_wave_exec(std::nextafter(k, 0.0), 4),
             WaveExec::kSerial);
   EXPECT_EQ(detail::select_wave_exec(k, 4), WaveExec::kThreads);
   EXPECT_EQ(detail::select_wave_exec(1e12, 2), WaveExec::kThreads);
-  // hardware_concurrency() reports 0 when it cannot tell.
-  for (const unsigned width : {0u, 1u}) {
+  // A one-thread pool (DPIPE_THREADS=1, set_kernel_threads(1), or a
+  // process pinned to one core) has nowhere to run a second worker.
+  for (const int width : {0, 1}) {
     EXPECT_EQ(detail::select_wave_exec(1e12, width), WaveExec::kSerial)
         << width;
   }

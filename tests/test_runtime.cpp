@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
-#include <optional>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "runtime/dp_trainer.h"
 #include "runtime/interpreter.h"
@@ -334,28 +334,56 @@ TEST(PipelineTrainer, RejectsIndivisibleBatch) {
 
 TEST(Channel, PopDrainsThenReportsClosed) {
   Channel<int> ch;
+  int out = -1;
+  EXPECT_EQ(ch.try_pop(out), TryPop::kEmpty);  // Open: a value may come.
   EXPECT_TRUE(ch.push(1));
   EXPECT_TRUE(ch.push(2));
   ch.close();
-  EXPECT_EQ(ch.pop(), 1);  // Queued values drain after close...
-  EXPECT_EQ(ch.pop(), 2);
-  EXPECT_EQ(ch.pop(), std::nullopt);  // ...then closed-and-empty.
+  ASSERT_EQ(ch.try_pop(out), TryPop::kValue);  // Queued values drain...
+  EXPECT_EQ(out, 1);
+  ASSERT_EQ(ch.try_pop(out), TryPop::kValue);
+  EXPECT_EQ(out, 2);
+  EXPECT_EQ(ch.try_pop(out), TryPop::kClosed);  // ...then closed-and-empty.
   EXPECT_FALSE(ch.push(3));  // A closed channel refuses the value...
-  EXPECT_EQ(ch.pop(), std::nullopt);  // ...and stays empty.
+  EXPECT_EQ(ch.try_pop(out), TryPop::kClosed);  // ...and stays empty.
+  EXPECT_EQ(out, 2);  // kEmpty/kClosed leave `out` untouched.
 }
 
-TEST(Channel, CloseWakesBlockedConsumer) {
+TEST(Channel, PollingConsumerSeesProducerFifoThenClose) {
+  // A consumer on another thread polls with try_pop, as a wave task does:
+  // it sees every value in push order, then kClosed once the producer
+  // closes — never a lost or reordered value.
   Channel<int> ch;
-  std::optional<int> got = std::make_optional(-1);
-  std::thread consumer([&] { got = ch.pop(); });
-  ch.close();  // Without close semantics this pop would block forever.
+  constexpr int kValues = 1000;
+  std::vector<int> got;
+  std::thread consumer([&] {
+    for (;;) {
+      int v = 0;
+      const TryPop outcome = ch.try_pop(v);
+      if (outcome == TryPop::kClosed) {
+        return;
+      }
+      if (outcome == TryPop::kValue) {
+        got.push_back(v);
+      } else {
+        std::this_thread::yield();
+      }
+    }
+  });
+  for (int i = 0; i < kValues; ++i) {
+    EXPECT_TRUE(ch.push(i));
+  }
+  ch.close();
   consumer.join();
-  EXPECT_EQ(got, std::nullopt);
+  ASSERT_EQ(static_cast<int>(got.size()), kValues);
+  for (int i = 0; i < kValues; ++i) {
+    EXPECT_EQ(got[i], i);
+  }
 }
 
 TEST(PipelineTrainer, StageFailurePropagatesWithoutHanging) {
   // A stage task that dies mid-wave must abort the whole wave cleanly under
-  // either wave executor: peers drain out of their pops, every task ends,
+  // either wave driver: peers drain out of their pops, every task ends,
   // and the failure escapes train() instead of deadlocking the trainer.
   struct WaveExecGuard {
     ~WaveExecGuard() { set_wave_exec(WaveExec::kAuto); }
@@ -419,7 +447,7 @@ TEST(PipelineTrainer, CheckpointRestartReproducesTrajectoryBitExactly) {
   const TrainerCheckpoint ckpt = victim.last_checkpoint();
   EXPECT_EQ(ckpt.iteration, 6);  // Interval 2, crash in iteration 7.
 
-  // Restart: a fresh trainer (fresh threads, fresh weights) restored from
+  // Restart: a fresh trainer (fresh weights) restored from
   // the checkpoint, resuming the remaining iterations.
   PipelineTrainer recovered(problem, cfg);
   recovered.restore(ckpt);

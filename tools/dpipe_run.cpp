@@ -3,7 +3,7 @@
 // interpret the same validated program:
 //
 //   --backend=sim   discrete-event engine (modeled time, default)
-//   --backend=real  functional runtime (real tensors, one thread per
+//   --backend=real  functional runtime (real tensors, one task per
 //                   device walking its instruction stream)
 //
 // With --backend=real the tool also replays the program on the engine and

@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the standard build + full test suite, then a
 # ThreadSanitizer build running the concurrency-sensitive runtime and fault
-# tests (thread-per-stage program interpreter, channel shutdown, checkpoint
-# recovery, cross-backend parity) plus the parallel planner-search
+# tests (program interpreter waves on the pooled driver, channel shutdown,
+# checkpoint recovery, cross-backend parity) plus the parallel planner-search
 # determinism tests (every default search fans out over the pool), the
 # kernel/pool substrate tests (row-block fan-out, concurrent TensorPool), and
 # the plan-service suites (single-flight cache, stage-cost leases, concurrent
 # request determinism), then an AddressSanitizer+UBSan build running the
-# planner, cascade-DP, stage-cost and plan-service suites, a socket-level
+# planner, cascade-DP, stage-cost and plan-service suites plus the
+# interpreter, channel, trainer, fault and elastic suites, a socket-level
 # request-storm smoke of dpipe_plan_serve, and finally the repository
 # benchmark's smoke test (dpbench/), which builds the benchmark from these
 # sources so an API it uses cannot be cut unnoticed.
@@ -31,22 +32,24 @@ DPIPE_SIMD=scalar ./build/tests/dpipe_tests \
 echo "== tier-1: ThreadSanitizer build (runtime + fault + service tests) =="
 cmake -B build-tsan -S . -DDPIPE_SANITIZE=thread
 cmake --build build-tsan -j"$(nproc)" --target dpipe_tests
-# TSan builds resolve the automatic wave executor to the threaded driver,
-# so every wave here runs on threads with interleavings for TSan to check.
+# TSan builds resolve the automatic wave executor to the pooled driver, so
+# every wave here runs its tasks on the intra-op pool's workers with
+# interleavings for TSan to check.
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/dpipe_tests \
   --gtest_filter='Channel.*:PipelineTrainer.*:Equivalence.*:Fault.*:ParallelFor.*:PlannerSearch.*:Kernels.*:TensorPool.*:Trajectory.*:RngSeed.*:SimdDispatch.*:SimdParity.*:Interpreter.*:Parity.*:Interleaved.*:Elastic.*:Reshard.*:CheckpointIo.*:PlanFingerprint.*:StageCostStore.*:PlanCache.*:PlanStore.*:PlanService.*:PlanProtocol.*:Eltwise*'
 
-echo "== tier-1: ASan+UBSan build (planner + stage-cost + service tests) =="
+echo "== tier-1: ASan+UBSan build (planner, service, runtime + fault tests) =="
 cmake -B build-asan -S . -DDPIPE_SANITIZE=address,undefined
 cmake --build build-asan -j"$(nproc)" --target dpipe_tests
 ./build-asan/tests/dpipe_tests \
-  --gtest_filter='PlannerSearch.*:Bidirectional.*:StageCostCache.*:StageCostStore.*:PlanFingerprint.*:PlanService.*'
+  --gtest_filter='PlannerSearch.*:Bidirectional.*:StageCostCache.*:StageCostStore.*:PlanFingerprint.*:PlanService.*:Interpreter.*:Channel.*:PipelineTrainer.*:Fault.*:Elastic.*'
 
 echo "== tier-1: interleaved schedule smoke =="
 # The interleaved family exercises multi-virtual-stage device timelines on
 # the functional runtime; its replay must show clean cross-backend op-order
-# parity. (Interpreter.WaveExecSerialMatchesThreadedBitExact covers both
-# wave executors on an interleaved program.)
+# parity. (Interpreter.WaveExecSerialMatchesThreadedBitExact covers the
+# serial driver and the pooled one at every wave width on an interleaved
+# program.)
 ./build/tools/dpipe_run --schedule=interleaved \
   --vstages=2 --backend=real 2 4 8 1 2 | grep -q "parity: OK"
 ./build/tools/dpipe_run --schedule=interleaved --vstages=2 --backend=sim \
