@@ -4,6 +4,9 @@
 // ratio against the fault-free plan, plus the engine's fault accounting.
 // No paper counterpart — this probes the robustness gap §6.2 attributes to
 // profiled-vs-actual drift, pushed far beyond the benign ±2% noise.
+//
+// Writes the elastic-recovery rows to BENCH_fault.json as {provenance, rows}
+// (pass an output path as argv[1] to override).
 
 #include <fstream>
 
@@ -134,10 +137,14 @@ int main(int argc, char** argv) {
   const std::string out_path =
       argc > 1 ? argv[1] : std::string("BENCH_fault.json");
   std::ofstream json(out_path);
-  json << "[\n";
+  json << "{\n  \"provenance\": "
+       << bench::provenance_json(
+              "engine-simulated iterations and counts are exact; replan_ms "
+              "is one host-timed elastic re-plan per row")
+       << ",\n  \"rows\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const ElasticRow& r = rows[i];
-    json << "  {\"crash_iter\": " << r.crash_iter
+    json << "    {\"crash_iter\": " << r.crash_iter
          << ", \"checkpoint_interval\": " << r.interval
          << ", \"elastic_iterations_lost\": " << r.elastic_lost
          << ", \"restart_iterations_lost\": " << r.restart_lost
@@ -148,7 +155,7 @@ int main(int argc, char** argv) {
          << ", \"replan_ms\": " << r.replan_ms << "}"
          << (i + 1 < rows.size() ? "," : "") << "\n";
   }
-  json << "]\n";
+  json << "  ]\n}\n";
   std::printf("wrote %zu rows to %s\n", rows.size(), out_path.c_str());
   return 0;
 }

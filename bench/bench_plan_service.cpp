@@ -5,7 +5,8 @@
 // answer for a CDM cascade is orders of magnitude faster than planning it.
 //
 // Writes BENCH_service.json in the current directory (run from the repo
-// root; pass an output path as argv[1] to override).
+// root; pass an output path as argv[1] to override), headed by
+// bench::provenance_json.
 
 #include <algorithm>
 #include <chrono>
@@ -23,6 +24,11 @@ namespace {
 using namespace dpipe;
 
 using Clock = std::chrono::steady_clock;
+
+constexpr const char* kTimingIdiom =
+    "one cold plan per testbed on a fresh service, then best of 10 warm "
+    "repeats; storms: 200 seeded requests after pre-planning every testbed, "
+    "each request timed";
 
 double ms_since(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
@@ -192,7 +198,8 @@ int main(int argc, char** argv) {
   }
 
   std::ofstream json(out_path);
-  json << "{\n  \"cold_warm\": [\n";
+  json << "{\n  \"provenance\": " << bench::provenance_json(kTimingIdiom)
+       << ",\n  \"cold_warm\": [\n";
   for (std::size_t i = 0; i < cold_warm.size(); ++i) {
     const ColdWarmRow& r = cold_warm[i];
     json << "    {\"config\": \"" << r.config

@@ -6,9 +6,10 @@
 // rows isolate the schedule shape itself — the interleaved rows should
 // show the warm-up/cool-down bubble shrinking roughly as 1/V.
 //
-// Prints a table and writes BENCH_schedule.json (pass an output path as
-// argv[1] to override). Timing idiom (bench_runtime_kernels): build each
-// program once, one untimed warm-up replay, then an averaged timed loop.
+// Prints a table and writes BENCH_schedule.json as {provenance, rows} (pass
+// an output path as argv[1] to override). Timing idiom
+// (bench_runtime_kernels): build each program once, one untimed warm-up
+// replay, then an averaged timed loop.
 
 #include <chrono>
 #include <cstdio>
@@ -182,10 +183,14 @@ int main(int argc, char** argv) {
   }
 
   std::ofstream json(out_path);
-  json << "[\n";
+  json << "{\n  \"provenance\": "
+       << bench::provenance_json(
+              "each program built once, one untimed warm-up replay, then an "
+              "averaged timed replay loop")
+       << ",\n  \"rows\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
-    json << "  {\"point\": \"" << r.point << "\", \"family\": \"" << r.family
+    json << "    {\"point\": \"" << r.point << "\", \"family\": \"" << r.family
          << "\", \"vstages\": " << r.vstages
          << ", \"planned_bubble_ratio\": " << r.planned_bubble
          << ", \"engine_bubble_ratio\": " << r.engine_bubble
@@ -194,7 +199,7 @@ int main(int argc, char** argv) {
          << ", \"replay_host_ms\": " << r.replay_host_ms << "}"
          << (i + 1 < rows.size() ? "," : "") << "\n";
   }
-  json << "]\n";
+  json << "  ]\n}\n";
   std::printf("wrote %s\n", out_path.c_str());
   return 0;
 }

@@ -9,10 +9,10 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 
 #include "baselines/baselines.h"
 #include "cluster/comm_model.h"
+#include "common/parallel.h"
 #include "core/planner/planner.h"
 #include "engine/engine.h"
 #include "model/zoo.h"
@@ -114,12 +114,14 @@ inline std::string cpu_model() {
 }
 
 /// A JSON object saying where and how a BENCH_*.json was measured: CPU,
-/// hardware threads, SIMD dispatch level, build type and git revision (both
-/// captured when the build tree was configured), and the timing idiom.
+/// usable cores (default_thread_count(), which honours the CPU affinity
+/// mask, so a taskset run records its real width), SIMD dispatch level,
+/// build type and git revision (both captured when the build tree was
+/// configured), and the timing idiom.
 inline std::string provenance_json(const std::string& timing_idiom) {
   std::ostringstream out;
   out << "{\"cpu\": \"" << cpu_model()
-      << "\", \"cores\": " << std::thread::hardware_concurrency()
+      << "\", \"cores\": " << default_thread_count()
       << ", \"simd\": \"" << rt::simd_level_name(rt::simd_level())
       << "\", \"build_type\": \"" << DPIPE_BUILD_TYPE
       << "\", \"git_revision\": \"" << DPIPE_GIT_REVISION

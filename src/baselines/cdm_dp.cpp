@@ -20,8 +20,8 @@ BaselineReport run_one_backbone(const ProfileDb& db, const CommModel& comm,
 BaselineReport run_deepspeed_s(const ProfileDb& db, const CommModel& comm,
                                double per_backbone_batch, bool zero3) {
   const ModelDesc& model = db.model();
-  require(model.backbone_ids.size() >= 2,
-          "DeepSpeed-S applies to cascaded models");
+  DPIPE_REQUIRE(model.backbone_ids.size() >= 2,
+                "DeepSpeed-S applies to cascaded models");
   const int world = comm.cluster().world_size();
   // Sequential: each backbone trains on ALL devices; iteration times add
   // (§6, Metrics: total batch of all backbones / sum of iteration times).
@@ -50,10 +50,10 @@ BaselineReport run_deepspeed_p(const ProfileDb& db, const CommModel& comm,
                                double per_backbone_batch, bool zero3) {
   const ModelDesc& model = db.model();
   const auto num_backbones = static_cast<int>(model.backbone_ids.size());
-  require(num_backbones >= 2, "DeepSpeed-P applies to cascaded models");
+  DPIPE_REQUIRE(num_backbones >= 2, "DeepSpeed-P applies to cascaded models");
   const int world = comm.cluster().world_size();
-  require(world % num_backbones == 0,
-          "device count must divide evenly across backbones");
+  DPIPE_REQUIRE(world % num_backbones == 0,
+                "device count must divide evenly across backbones");
   const int per_set = world / num_backbones;
   // Parallel: each backbone trains on its own device set; throughput is the
   // sum of batch/iteration over backbones (§6, Metrics).

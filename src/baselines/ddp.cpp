@@ -54,7 +54,7 @@ std::vector<int> all_ranks(int n) {
 
 BaselineReport run_ddp(const ProfileDb& db, const CommModel& comm,
                        double global_batch, const DdpOptions& opts) {
-  require(global_batch > 0.0, "global batch must be positive");
+  DPIPE_REQUIRE(global_batch > 0.0, "global batch must be positive");
   const int world = opts.num_devices > 0 ? opts.num_devices
                                          : comm.cluster().world_size();
   const double local_batch = global_batch / world;
@@ -86,7 +86,7 @@ BaselineReport run_ddp(const ProfileDb& db, const CommModel& comm,
 
 BaselineReport run_zero3(const ProfileDb& db, const CommModel& comm,
                          double global_batch, const DdpOptions& opts) {
-  require(global_batch > 0.0, "global batch must be positive");
+  DPIPE_REQUIRE(global_batch > 0.0, "global batch must be positive");
   const int world = opts.num_devices > 0 ? opts.num_devices
                                          : comm.cluster().world_size();
   const double local_batch = global_batch / world;

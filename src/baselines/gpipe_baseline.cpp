@@ -11,15 +11,15 @@ BaselineReport run_gpipe_baseline(const ProfileDb& db, const CommModel& comm,
                                   double global_batch,
                                   const PipelineBaselineOptions& opts) {
   const ModelDesc& model = db.model();
-  require(model.backbone_ids.size() == 1,
-          "GPipe does not support pipelining multiple models (§6)");
+  DPIPE_REQUIRE(model.backbone_ids.size() == 1,
+                "GPipe does not support pipelining multiple models (§6)");
   const int backbone = model.backbone_ids[0];
   const int L = model.components[backbone].num_layers();
   const int S = opts.num_stages;
   const int D = opts.group_size > 0 ? opts.group_size : S;
   const int world = comm.cluster().world_size();
-  require(S >= 1 && S <= L, "invalid stage count");
-  require(D % S == 0 && world % D == 0, "invalid group shape");
+  DPIPE_REQUIRE(S >= 1 && S <= L, "invalid stage count");
+  DPIPE_REQUIRE(D % S == 0 && world % D == 0, "invalid group shape");
   const int dp = world / D;
   const int replicas = D / S;
 

@@ -8,8 +8,8 @@ BaselineReport run_spp_baseline(const ProfileDb& db, const CommModel& comm,
                                 double global_batch,
                                 const PipelineBaselineOptions& opts) {
   const ModelDesc& model = db.model();
-  require(model.backbone_ids.size() == 1,
-          "SPP does not support pipelining multiple models (§6)");
+  DPIPE_REQUIRE(model.backbone_ids.size() == 1,
+                "SPP does not support pipelining multiple models (§6)");
 
   // SPP = DP-optimized partitioning + FIFO-1F1B with the same
   // hyper-parameter search as DiffusionPipe, but without bubble filling:

@@ -6,7 +6,7 @@
 namespace dpipe {
 
 ClusterSpec make_p4de_cluster(int num_machines) {
-  require(num_machines >= 1, "need at least one machine");
+  DPIPE_REQUIRE(num_machines >= 1, "need at least one machine");
   ClusterSpec cluster;
   cluster.num_machines = num_machines;
   cluster.devices_per_machine = 8;
@@ -15,16 +15,18 @@ ClusterSpec make_p4de_cluster(int num_machines) {
 }
 
 void validate(const ClusterSpec& cluster) {
-  require(cluster.num_machines >= 1, "num_machines must be >= 1");
-  require(cluster.devices_per_machine >= 1,
-          "devices_per_machine must be >= 1");
-  require(cluster.device.peak_tflops > 0.0, "peak_tflops must be positive");
-  require(cluster.device.memory_gb > 0.0, "memory_gb must be positive");
-  require(cluster.intra.bandwidth_gbps > 0.0 &&
-              cluster.inter.bandwidth_gbps > 0.0,
-          "link bandwidth must be positive");
-  require(cluster.intra.latency_ms >= 0.0 && cluster.inter.latency_ms >= 0.0,
-          "link latency must be non-negative");
+  DPIPE_REQUIRE(cluster.num_machines >= 1, "num_machines must be >= 1");
+  DPIPE_REQUIRE(cluster.devices_per_machine >= 1,
+                "devices_per_machine must be >= 1");
+  DPIPE_REQUIRE(cluster.device.peak_tflops > 0.0,
+                "peak_tflops must be positive");
+  DPIPE_REQUIRE(cluster.device.memory_gb > 0.0, "memory_gb must be positive");
+  DPIPE_REQUIRE(cluster.intra.bandwidth_gbps > 0.0 &&
+                    cluster.inter.bandwidth_gbps > 0.0,
+                "link bandwidth must be positive");
+  DPIPE_REQUIRE(
+      cluster.intra.latency_ms >= 0.0 && cluster.inter.latency_ms >= 0.0,
+      "link latency must be non-negative");
 }
 
 void write_canonical(std::ostream& out, const ClusterSpec& cluster) {
@@ -48,37 +50,37 @@ ClusterSpec read_canonical_cluster(std::istream& in) {
   std::string line;
   while (std::getline(in, line) && line.empty()) {
   }
-  require(line == "dpipe-cluster v1", "not a dpipe-cluster v1 block");
+  DPIPE_REQUIRE(line == "dpipe-cluster v1", "not a dpipe-cluster v1 block");
   ClusterSpec cluster;
   std::string keyword;
-  require(static_cast<bool>(in >> keyword) && keyword == "shape",
-          "expected shape line");
-  require(static_cast<bool>(in >> cluster.num_machines >>
-                            cluster.devices_per_machine),
-          "malformed shape line");
-  require(static_cast<bool>(in >> keyword) && keyword == "device",
-          "expected device line");
-  require(static_cast<bool>(in >> cluster.device.peak_tflops >>
-                            cluster.device.memory_gb >>
-                            cluster.device.mem_bw_gbps),
-          "malformed device line");
+  DPIPE_REQUIRE(static_cast<bool>(in >> keyword) && keyword == "shape",
+                "expected shape line");
+  DPIPE_REQUIRE(static_cast<bool>(in >> cluster.num_machines >>
+                                  cluster.devices_per_machine),
+                "malformed shape line");
+  DPIPE_REQUIRE(static_cast<bool>(in >> keyword) && keyword == "device",
+                "expected device line");
+  DPIPE_REQUIRE(static_cast<bool>(in >> cluster.device.peak_tflops >>
+                                  cluster.device.memory_gb >>
+                                  cluster.device.mem_bw_gbps),
+                "malformed device line");
   std::string name_token;
-  require(static_cast<bool>(in >> name_token) && name_token.size() >= 5 &&
-              name_token.compare(0, 5, "name=") == 0,
-          "expected device name= field");
+  DPIPE_REQUIRE(static_cast<bool>(in >> name_token) && name_token.size() >= 5 &&
+                    name_token.compare(0, 5, "name=") == 0,
+                "expected device name= field");
   std::string rest;
   std::getline(in, rest);
   cluster.device.name = name_token.substr(5) + rest;
-  require(static_cast<bool>(in >> keyword) && keyword == "intra",
-          "expected intra line");
-  require(static_cast<bool>(in >> cluster.intra.bandwidth_gbps >>
-                            cluster.intra.latency_ms),
-          "malformed intra line");
-  require(static_cast<bool>(in >> keyword) && keyword == "inter",
-          "expected inter line");
-  require(static_cast<bool>(in >> cluster.inter.bandwidth_gbps >>
-                            cluster.inter.latency_ms),
-          "malformed inter line");
+  DPIPE_REQUIRE(static_cast<bool>(in >> keyword) && keyword == "intra",
+                "expected intra line");
+  DPIPE_REQUIRE(static_cast<bool>(in >> cluster.intra.bandwidth_gbps >>
+                                  cluster.intra.latency_ms),
+                "malformed intra line");
+  DPIPE_REQUIRE(static_cast<bool>(in >> keyword) && keyword == "inter",
+                "expected inter line");
+  DPIPE_REQUIRE(static_cast<bool>(in >> cluster.inter.bandwidth_gbps >>
+                                  cluster.inter.latency_ms),
+                "malformed inter line");
   std::getline(in, line);  // Consume the trailing newline.
   validate(cluster);
   return cluster;

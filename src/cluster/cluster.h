@@ -40,7 +40,7 @@ struct ClusterSpec {
     return num_machines * devices_per_machine;
   }
   [[nodiscard]] int machine_of(int rank) const {
-    require(rank >= 0 && rank < world_size(), "rank out of range");
+    DPIPE_REQUIRE(rank >= 0 && rank < world_size(), "rank out of range");
     return rank / devices_per_machine;
   }
   [[nodiscard]] bool same_machine(int rank_a, int rank_b) const {

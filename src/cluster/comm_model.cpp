@@ -17,7 +17,7 @@ LinkSpec CommModel::p2p_link(int src_rank, int dst_rank) const {
 }
 
 double CommModel::p2p_ms(double size_mb, int src_rank, int dst_rank) const {
-  require(size_mb >= 0.0, "size must be non-negative");
+  DPIPE_REQUIRE(size_mb >= 0.0, "size must be non-negative");
   if (src_rank == dst_rank) {
     return 0.0;
   }
@@ -35,7 +35,7 @@ double CommModel::p2p_ms(double size_mb, int src_rank, int dst_rank,
 }
 
 LinkSpec CommModel::group_link(const std::vector<int>& group) const {
-  require(!group.empty(), "communication group must be non-empty");
+  DPIPE_REQUIRE(!group.empty(), "communication group must be non-empty");
   bool spans_machines = false;
   for (const int rank : group) {
     if (!cluster_.same_machine(rank, group.front())) {
@@ -48,7 +48,7 @@ LinkSpec CommModel::group_link(const std::vector<int>& group) const {
 
 double CommModel::allreduce_ms(double size_mb,
                                const std::vector<int>& group) const {
-  require(size_mb >= 0.0, "size must be non-negative");
+  DPIPE_REQUIRE(size_mb >= 0.0, "size must be non-negative");
   const auto n = static_cast<double>(group.size());
   if (group.size() <= 1 || size_mb == 0.0) {
     return 0.0;
@@ -95,7 +95,7 @@ double CommModel::allreduce_ms(double size_mb, const std::vector<int>& group,
 
 double CommModel::allgather_ms(double size_mb,
                                const std::vector<int>& group) const {
-  require(size_mb >= 0.0, "size must be non-negative");
+  DPIPE_REQUIRE(size_mb >= 0.0, "size must be non-negative");
   const auto n = static_cast<double>(group.size());
   if (group.size() <= 1 || size_mb == 0.0) {
     return 0.0;
@@ -114,7 +114,7 @@ double CommModel::reduce_scatter_ms(double size_mb,
 
 double CommModel::broadcast_ms(double size_mb,
                                const std::vector<int>& group) const {
-  require(size_mb >= 0.0, "size must be non-negative");
+  DPIPE_REQUIRE(size_mb >= 0.0, "size must be non-negative");
   if (group.size() <= 1 || size_mb == 0.0) {
     return 0.0;
   }

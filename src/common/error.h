@@ -3,68 +3,37 @@
 #include <stdexcept>
 #include <string>
 
-namespace dpipe {
+namespace dpipe::detail {
 
-/// Throws std::invalid_argument when a caller-supplied precondition fails.
-/// Use for argument validation on public API boundaries.
-inline void require(bool condition, const std::string& message) {
-  if (!condition) {
-    throw std::invalid_argument(message);
-  }
-}
+/// Throws std::invalid_argument("src/file:line: message"). Out of line and
+/// cold, so a check site inlines only its test and a call.
+[[noreturn, gnu::cold, gnu::noinline]] void throw_require(
+    const char* file, int line, const std::string& message);
 
-/// Throws std::logic_error when an internal invariant is violated.
-/// Use for "this cannot happen unless the library itself is buggy".
-inline void ensure(bool condition, const std::string& message) {
-  if (!condition) {
-    throw std::logic_error(message);
-  }
-}
+/// Throws std::logic_error("src/file:line: message").
+[[noreturn, gnu::cold, gnu::noinline]] void throw_ensure(
+    const char* file, int line, const std::string& message);
 
-namespace detail {
+}  // namespace dpipe::detail
 
-inline std::string located(const char* file, int line,
-                           const std::string& message) {
-  std::string text(file);
-  // Keep paths readable: trim everything before the last "src/" so messages
-  // are stable across build directories.
-  const std::size_t anchor = text.rfind("src/");
-  if (anchor != std::string::npos) {
-    text.erase(0, anchor);
-  }
-  text += ':';
-  text += std::to_string(line);
-  text += ": ";
-  text += message;
-  return text;
-}
+/// Precondition check: throws std::invalid_argument prefixed with the
+/// check's src/file:line when `cond` is false. Use for argument validation
+/// on public API boundaries. `cond` is evaluated exactly once; `msg` (a
+/// literal or any expression convertible to std::string) is evaluated only
+/// when the check fails, so a passing check builds no string.
+#define DPIPE_REQUIRE(cond, msg)                                      \
+  do {                                                                \
+    if (!static_cast<bool>(cond)) [[unlikely]] {                      \
+      ::dpipe::detail::throw_require(__FILE__, __LINE__, (msg));      \
+    }                                                                 \
+  } while (false)
 
-inline void require_at(bool condition, const std::string& message,
-                       const char* file, int line) {
-  if (!condition) {
-    throw std::invalid_argument(located(file, line, message));
-  }
-}
-
-inline void ensure_at(bool condition, const std::string& message,
-                      const char* file, int line) {
-  if (!condition) {
-    throw std::logic_error(located(file, line, message));
-  }
-}
-
-}  // namespace detail
-}  // namespace dpipe
-
-/// Precondition check that prepends file:line context to the thrown
-/// std::invalid_argument. Prefer over bare require() in library code so
-/// failures in deep call stacks are attributable.
-#define DPIPE_REQUIRE(cond, msg) \
-  ::dpipe::detail::require_at(static_cast<bool>(cond), (msg), __FILE__, \
-                              __LINE__)
-
-/// Invariant check that prepends file:line context to the thrown
-/// std::logic_error.
-#define DPIPE_ENSURE(cond, msg) \
-  ::dpipe::detail::ensure_at(static_cast<bool>(cond), (msg), __FILE__, \
-                             __LINE__)
+/// Invariant check ("this cannot happen unless the library itself is
+/// buggy"): throws std::logic_error prefixed with src/file:line. Same
+/// evaluation rules as DPIPE_REQUIRE.
+#define DPIPE_ENSURE(cond, msg)                                       \
+  do {                                                                \
+    if (!static_cast<bool>(cond)) [[unlikely]] {                      \
+      ::dpipe::detail::throw_ensure(__FILE__, __LINE__, (msg));       \
+    }                                                                 \
+  } while (false)

@@ -35,11 +35,11 @@ struct Fingerprint {
   /// Parses the hex() spelling. Throws std::invalid_argument on anything
   /// that is not exactly 32 hex characters.
   [[nodiscard]] static Fingerprint from_hex(std::string_view text) {
-    require(text.size() == 32, "fingerprint must be 32 hex characters");
+    DPIPE_REQUIRE(text.size() == 32, "fingerprint must be 32 hex characters");
     const auto nibble = [](char c) -> std::uint64_t {
       if (c >= '0' && c <= '9') return static_cast<std::uint64_t>(c - '0');
       if (c >= 'a' && c <= 'f') return static_cast<std::uint64_t>(c - 'a' + 10);
-      require(false, "invalid fingerprint hex digit");
+      DPIPE_REQUIRE(false, "invalid fingerprint hex digit");
       return 0;
     };
     Fingerprint fp;

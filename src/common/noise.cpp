@@ -18,8 +18,8 @@ std::uint64_t mix(std::uint64_t x) {
 
 NoiseSource::NoiseSource(std::uint64_t seed, double amplitude)
     : seed_(seed), amplitude_(amplitude) {
-  require(amplitude >= 0.0 && amplitude < 1.0,
-          "noise amplitude must be in [0, 1)");
+  DPIPE_REQUIRE(amplitude >= 0.0 && amplitude < 1.0,
+                "noise amplitude must be in [0, 1)");
 }
 
 double NoiseSource::multiplier(std::uint64_t key) const {

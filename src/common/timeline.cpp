@@ -38,7 +38,7 @@ double total_length(const std::vector<Span>& spans) {
 }
 
 std::vector<Span> complement_spans(std::vector<Span> busy, double horizon) {
-  require(horizon >= 0.0, "horizon must be non-negative");
+  DPIPE_REQUIRE(horizon >= 0.0, "horizon must be non-negative");
   const std::vector<Span> norm = normalize_spans(std::move(busy));
   std::vector<Span> idle;
   double cursor = 0.0;

@@ -76,8 +76,8 @@ void ffc_recurse(const ProfileDb& db, const FfcInput& input, std::size_t i,
 
 double frozen_layer_ms(const ProfileDb& db, int component, int layer,
                        double samples, int devices) {
-  require(devices >= 1, "need at least one idle device");
-  require(samples >= 0.0, "samples must be non-negative");
+  DPIPE_REQUIRE(devices >= 1, "need at least one idle device");
+  DPIPE_REQUIRE(samples >= 0.0, "samples must be non-negative");
   if (samples == 0.0) {
     return 0.0;
   }
@@ -86,8 +86,8 @@ double frozen_layer_ms(const ProfileDb& db, int component, int layer,
 
 std::vector<std::vector<int>> full_batch_candidates(const ProfileDb& db,
                                                     const FfcInput& input) {
-  require(input.idle_devices >= 1, "bubble must have idle devices");
-  require(input.training_batch > 0.0, "training batch must be positive");
+  DPIPE_REQUIRE(input.idle_devices >= 1, "bubble must have idle devices");
+  DPIPE_REQUIRE(input.training_batch > 0.0, "training batch must be positive");
   if (input.ready.empty()) {
     return {};
   }

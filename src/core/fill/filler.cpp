@@ -35,10 +35,10 @@ BubbleFiller::BubbleFiller(const ProfileDb& db) : db_(&db) {}
 
 FillResult BubbleFiller::fill(const Schedule& schedule,
                               const FillOptions& opts) const {
-  require(opts.training_batch > 0.0, "training batch must be positive");
-  require(std::is_sorted(opts.partial_local_grid.begin(),
-                         opts.partial_local_grid.end()),
-          "partial batch grid must be ascending");
+  DPIPE_REQUIRE(opts.training_batch > 0.0, "training batch must be positive");
+  DPIPE_REQUIRE(std::is_sorted(opts.partial_local_grid.begin(),
+                               opts.partial_local_grid.end()),
+                "partial batch grid must be ascending");
   const ModelDesc& model = db_->model();
 
   FillResult result;
@@ -143,7 +143,7 @@ FillResult BubbleFiller::fill(const Schedule& schedule,
       if (candidate->partial.has_value()) {
         const PartialBatchLayer& p = *candidate->partial;
         ComponentState& cs = state.at(p.component);
-        ensure(cs.next_layer == p.layer, "partial layer out of order");
+        DPIPE_ENSURE(cs.next_layer == p.layer, "partial layer out of order");
         emplace(p.component, p.layer, p.samples, true,
                 frozen_layer_ms(*db_, p.component, p.layer, p.samples, d) +
                     opts.split_overhead_ms);

@@ -63,7 +63,7 @@ int peer_device(const std::map<std::pair<int, int>, std::vector<int>>& map,
   const std::vector<int>& mine = map.at({backbone, my_stage});
   const std::vector<int>& theirs = map.at({backbone, other_stage});
   const auto it = std::find(mine.begin(), mine.end(), device);
-  ensure(it != mine.end(), "device is not a replica of its own stage");
+  DPIPE_ENSURE(it != mine.end(), "device is not a replica of its own stage");
   const auto index = static_cast<std::size_t>(it - mine.begin());
   return mine.size() == theirs.size() ? theirs[index] : theirs.front();
 }
@@ -86,9 +86,9 @@ InstructionProgram generate_instructions(const ProfileDb& db,
 
   // The schedule does not carry component ids; backbone i must be the i-th
   // entry of model.backbone_ids (an invariant the planner maintains).
-  require(program.num_backbones <=
-              static_cast<int>(model.backbone_ids.size()),
-          "schedule has more backbones than the model");
+  DPIPE_REQUIRE(program.num_backbones <=
+                    static_cast<int>(model.backbone_ids.size()),
+                "schedule has more backbones than the model");
 
   for (int dev = 0; dev < filled_schedule.group_size; ++dev) {
     std::vector<Instruction>& stream = program.per_device[dev];

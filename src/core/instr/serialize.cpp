@@ -33,9 +33,9 @@ void write_instruction(std::ostream& out, const Instruction& i) {
 }
 
 double parse_field(const std::string& token, const std::string& key) {
-  require(token.size() > key.size() &&
-              token.compare(0, key.size(), key) == 0,
-          "malformed instruction field, expected " + key);
+  DPIPE_REQUIRE(token.size() > key.size() &&
+                    token.compare(0, key.size(), key) == 0,
+                "malformed instruction field, expected " + key);
   return std::stod(token.substr(key.size()));
 }
 
@@ -55,10 +55,10 @@ Instruction parse_instruction(const std::string& line) {
   tokens >> token;
   i.component = static_cast<int>(parse_field(token, "c="));
   tokens >> token;
-  require(token.size() > 2 && token[0] == 'l' && token[1] == '=',
-          "malformed layer range");
+  DPIPE_REQUIRE(token.size() > 2 && token[0] == 'l' && token[1] == '=',
+                "malformed layer range");
   const std::size_t colon = token.find(':');
-  require(colon != std::string::npos, "malformed layer range");
+  DPIPE_REQUIRE(colon != std::string::npos, "malformed layer range");
   i.layer_begin = std::stoi(token.substr(2, colon - 2));
   i.layer_end = std::stoi(token.substr(colon + 1));
   tokens >> token;
@@ -67,8 +67,8 @@ Instruction parse_instruction(const std::string& line) {
   i.peer = static_cast<int>(parse_field(token, "p="));
   tokens >> token;
   i.size_mb = parse_field(token, "sz=");
-  require(static_cast<bool>(tokens) || tokens.eof(),
-          "truncated instruction line");
+  DPIPE_REQUIRE(static_cast<bool>(tokens) || tokens.eof(),
+                "truncated instruction line");
   return i;
 }
 
@@ -95,43 +95,44 @@ void save_program(const InstructionProgram& program, std::ostream& out) {
 
 InstructionProgram load_program(std::istream& in) {
   std::string line;
-  require(std::getline(in, line) && line == "dpipe-program v1",
-          "not a dpipe-program v1 file");
+  DPIPE_REQUIRE(std::getline(in, line) && line == "dpipe-program v1",
+                "not a dpipe-program v1 file");
   InstructionProgram program;
   std::string keyword;
   {
-    require(static_cast<bool>(in >> keyword) && keyword == "group_size",
-            "expected group_size");
-    require(static_cast<bool>(in >> program.group_size) &&
-                program.group_size >= 1,
-            "invalid group_size");
-    require(static_cast<bool>(in >> keyword) && keyword == "num_backbones",
-            "expected num_backbones");
-    require(static_cast<bool>(in >> program.num_backbones) &&
-                program.num_backbones >= 1,
-            "invalid num_backbones");
+    DPIPE_REQUIRE(static_cast<bool>(in >> keyword) && keyword == "group_size",
+                  "expected group_size");
+    DPIPE_REQUIRE(static_cast<bool>(in >> program.group_size) &&
+                      program.group_size >= 1,
+                  "invalid group_size");
+    DPIPE_REQUIRE(
+        static_cast<bool>(in >> keyword) && keyword == "num_backbones",
+        "expected num_backbones");
+    DPIPE_REQUIRE(static_cast<bool>(in >> program.num_backbones) &&
+                      program.num_backbones >= 1,
+                  "invalid num_backbones");
     std::getline(in, line);  // Consume the trailing newline.
   }
   program.preamble.resize(program.group_size);
   program.per_device.resize(program.group_size);
   for (int section = 0; section < 2 * program.group_size; ++section) {
-    require(static_cast<bool>(std::getline(in, line)),
-            "truncated program: missing device section");
+    DPIPE_REQUIRE(static_cast<bool>(std::getline(in, line)),
+                  "truncated program: missing device section");
     std::istringstream header(line);
     std::string tag, phase;
     int dev = -1;
     std::size_t count = 0;
     header >> tag >> dev >> phase >> count;
-    require(tag == "device" && dev >= 0 && dev < program.group_size &&
-                (phase == "preamble" || phase == "steady"),
-            "malformed device section header: " + line);
+    DPIPE_REQUIRE(tag == "device" && dev >= 0 && dev < program.group_size &&
+                      (phase == "preamble" || phase == "steady"),
+                  "malformed device section header: " + line);
     std::vector<Instruction>& target =
         phase == "preamble" ? program.preamble[dev] : program.per_device[dev];
-    require(target.empty(), "duplicate device section: " + line);
+    DPIPE_REQUIRE(target.empty(), "duplicate device section: " + line);
     target.reserve(count);
     for (std::size_t n = 0; n < count; ++n) {
-      require(static_cast<bool>(std::getline(in, line)),
-              "truncated program: missing instruction");
+      DPIPE_REQUIRE(static_cast<bool>(std::getline(in, line)),
+                    "truncated program: missing instruction");
       target.push_back(parse_instruction(line));
     }
   }

@@ -36,23 +36,24 @@ void check_bidirectional(const DpPartitioner& partitioner, int down_component,
                          int up_component, const PartitionOptions& opts) {
   const ModelDesc& model = partitioner.db().model();
   const auto num_components = static_cast<int>(model.components.size());
-  require(down_component >= 0 && down_component < num_components &&
-              up_component >= 0 && up_component < num_components,
-          "component index out of range");
-  require(down_component != up_component,
-          "bidirectional pipelining needs two distinct backbones");
-  require(model.components[down_component].trainable &&
-              model.components[up_component].trainable,
-          "both backbones must be trainable");
-  require(opts.force_uniform_replicas,
-          "bidirectional partitioning supports uniform replication only");
-  require(opts.group_size % opts.num_stages == 0,
-          "uniform replication requires S to divide D");
-  require(opts.num_stages <= model.components[down_component].num_layers() &&
-              opts.num_stages <= model.components[up_component].num_layers(),
-          "more stages than layers in a backbone");
-  require(!opts.self_conditioning,
-          "self-conditioned CDM partitioning is not supported");
+  DPIPE_REQUIRE(down_component >= 0 && down_component < num_components &&
+                    up_component >= 0 && up_component < num_components,
+                "component index out of range");
+  DPIPE_REQUIRE(down_component != up_component,
+                "bidirectional pipelining needs two distinct backbones");
+  DPIPE_REQUIRE(model.components[down_component].trainable &&
+                    model.components[up_component].trainable,
+                "both backbones must be trainable");
+  DPIPE_REQUIRE(opts.force_uniform_replicas,
+                "bidirectional partitioning supports uniform replication only");
+  DPIPE_REQUIRE(opts.group_size % opts.num_stages == 0,
+                "uniform replication requires S to divide D");
+  DPIPE_REQUIRE(
+      opts.num_stages <= model.components[down_component].num_layers() &&
+          opts.num_stages <= model.components[up_component].num_layers(),
+      "more stages than layers in a backbone");
+  DPIPE_REQUIRE(!opts.self_conditioning,
+                "self-conditioned CDM partitioning is not supported");
 }
 
 }  // namespace
@@ -146,8 +147,8 @@ BiPartitionResult partition_bidirectional(const DpPartitioner& partitioner,
   }
 
   const auto final_it = frontiers[S].find({Ld, Lu});
-  ensure(final_it != frontiers[S].end() && !final_it->second.empty(),
-         "bidirectional DP found no feasible assignment");
+  DPIPE_ENSURE(final_it != frontiers[S].end() && !final_it->second.empty(),
+               "bidirectional DP found no feasible assignment");
   const double coeff = static_cast<double>(m_cdm) + 2.0 * S - 2.0;
   const ParetoPoint best = final_it->second.best(coeff);
 
@@ -159,7 +160,7 @@ BiPartitionResult partition_bidirectional(const DpPartitioner& partitioner,
 
   std::size_t tag = best.tag;
   while (tag != kRootTag) {
-    ensure(tag < transitions.size(), "dangling DP backpointer");
+    DPIPE_ENSURE(tag < transitions.size(), "dangling DP backpointer");
     const Transition& t = transitions[tag];
     result.down_stages.push_back(
         make_stage(opts, t.down_lo, t.down_hi, t.chain_begin, r));
@@ -171,9 +172,9 @@ BiPartitionResult partition_bidirectional(const DpPartitioner& partitioner,
   // chain order; up pipeline order is reverse chain order, which is exactly
   // the walk order — so only the down list needs reversing.
   std::reverse(result.down_stages.begin(), result.down_stages.end());
-  ensure(static_cast<int>(result.down_stages.size()) == S &&
-             static_cast<int>(result.up_stages.size()) == S,
-         "reconstructed stage count mismatch");
+  DPIPE_ENSURE(static_cast<int>(result.down_stages.size()) == S &&
+                   static_cast<int>(result.up_stages.size()) == S,
+               "reconstructed stage count mismatch");
   return result;
 }
 
@@ -249,8 +250,8 @@ BiPartitionResult brute_force_bidirectional(const DpPartitioner& partitioner,
     }
   };
   recurse(0, Ld, Lu);
-  ensure(!best.down_stages.empty(),
-         "brute force bidirectional found no feasible assignment");
+  DPIPE_ENSURE(!best.down_stages.empty(),
+               "brute force bidirectional found no feasible assignment");
   return best;
 }
 

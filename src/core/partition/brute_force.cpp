@@ -42,7 +42,7 @@ PartitionResult brute_force_partition(const DpPartitioner& partitioner,
                     .num_layers();
   const int S = opts.num_stages;
   const int D = opts.group_size;
-  require(S >= 1 && S <= L, "invalid stage count");
+  DPIPE_REQUIRE(S >= 1 && S <= L, "invalid stage count");
 
   double best_objective = std::numeric_limits<double>::infinity();
   PartitionResult best;
@@ -98,7 +98,8 @@ PartitionResult brute_force_partition(const DpPartitioner& partitioner,
       });
     }
   });
-  ensure(!best.stages.empty(), "brute force found no feasible assignment");
+  DPIPE_ENSURE(!best.stages.empty(),
+               "brute force found no feasible assignment");
   return best;
 }
 

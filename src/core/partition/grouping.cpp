@@ -108,7 +108,8 @@ BackboneGrouping group_backbones(const ModelDesc& model) {
     });
     for (int& dep : copy.deps) {
       dep = remap[dep];
-      ensure(dep >= 0, "frozen dependency remapped before its definition");
+      DPIPE_ENSURE(dep >= 0,
+                   "frozen dependency remapped before its definition");
     }
     grouped.components.push_back(std::move(copy));
   }

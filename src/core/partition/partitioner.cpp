@@ -16,29 +16,32 @@ DpPartitioner::DpPartitioner(const ProfileDb& db, const CommModel& comm)
 void DpPartitioner::check_options(int backbone_component,
                                   const PartitionOptions& opts) const {
   const auto num_components = static_cast<int>(db_->model().components.size());
-  require(backbone_component >= 0 && backbone_component < num_components,
-          "backbone component index out of range");
-  require(db_->model().components[backbone_component].trainable,
-          "partitioned component must be trainable");
+  DPIPE_REQUIRE(backbone_component >= 0 && backbone_component < num_components,
+                "backbone component index out of range");
+  DPIPE_REQUIRE(db_->model().components[backbone_component].trainable,
+                "partitioned component must be trainable");
   const int L = db_->model().components[backbone_component].num_layers();
-  require(opts.num_stages >= 1, "need at least one stage");
-  require(opts.num_stages <= L, "more stages than layers");
-  require(opts.num_microbatches >= 1, "need at least one micro-batch");
-  require(opts.group_size >= opts.num_stages,
-          "group must have at least one device per stage");
-  require(opts.data_parallel_degree >= 1, "dp degree must be >= 1");
-  require(opts.microbatch_size > 0.0, "micro-batch size must be positive");
-  require(opts.device_ranks.empty() ||
-              static_cast<int>(opts.device_ranks.size()) == opts.group_size,
-          "device_ranks must list exactly group_size ranks");
+  DPIPE_REQUIRE(opts.num_stages >= 1, "need at least one stage");
+  DPIPE_REQUIRE(opts.num_stages <= L, "more stages than layers");
+  DPIPE_REQUIRE(opts.num_microbatches >= 1, "need at least one micro-batch");
+  DPIPE_REQUIRE(opts.group_size >= opts.num_stages,
+                "group must have at least one device per stage");
+  DPIPE_REQUIRE(opts.data_parallel_degree >= 1, "dp degree must be >= 1");
+  DPIPE_REQUIRE(opts.microbatch_size > 0.0,
+                "micro-batch size must be positive");
+  DPIPE_REQUIRE(
+      opts.device_ranks.empty() ||
+          static_cast<int>(opts.device_ranks.size()) == opts.group_size,
+      "device_ranks must list exactly group_size ranks");
   if (opts.force_uniform_replicas) {
-    require(opts.group_size % opts.num_stages == 0,
-            "uniform replication requires S to divide D");
+    DPIPE_REQUIRE(opts.group_size % opts.num_stages == 0,
+                  "uniform replication requires S to divide D");
   }
 }
 
 int DpPartitioner::rank_at(const PartitionOptions& opts, int pos) const {
-  require(pos >= 0 && pos < opts.group_size, "chain position out of range");
+  DPIPE_REQUIRE(pos >= 0 && pos < opts.group_size,
+                "chain position out of range");
   return opts.device_ranks.empty() ? pos : opts.device_ranks[pos];
 }
 
@@ -89,8 +92,8 @@ StageCost DpPartitioner::compute_stage_cost(int backbone_component, int lo,
                                             int chain_begin,
                                             const PartitionOptions& opts,
                                             PipeDirection direction) const {
-  require(replicas >= 1, "stage needs at least one replica");
-  require(hi > lo, "stage must contain at least one layer");
+  DPIPE_REQUIRE(replicas >= 1, "stage needs at least one replica");
+  DPIPE_REQUIRE(hi > lo, "stage must contain at least one layer");
   const double local_batch = opts.microbatch_size / replicas;
 
   StageCost cost;
@@ -166,7 +169,7 @@ double DpPartitioner::feedback_ms(int backbone_component,
 double DpPartitioner::objective(const std::vector<StageCost>& stages,
                                 int backbone_component,
                                 const PartitionOptions& opts) const {
-  require(!stages.empty(), "objective needs at least one stage");
+  DPIPE_REQUIRE(!stages.empty(), "objective needs at least one stage");
   double w = 0.0;
   double y = 0.0;
   for (const StageCost& s : stages) {
@@ -253,8 +256,8 @@ PartitionResult DpPartitioner::partition_single(
   }
 
   const auto final_it = frontiers[S].find({L, D});
-  ensure(final_it != frontiers[S].end() && !final_it->second.empty(),
-         "partition DP found no feasible assignment");
+  DPIPE_ENSURE(final_it != frontiers[S].end() && !final_it->second.empty(),
+               "partition DP found no feasible assignment");
   const double coeff =
       static_cast<double>(opts.num_microbatches) + 2.0 * S - 2.0;
   const ParetoPoint best = final_it->second.best(coeff);
@@ -268,7 +271,7 @@ PartitionResult DpPartitioner::partition_single(
   // Walk backpointers (stages come out last-first).
   std::size_t tag = best.tag;
   while (tag != kRootTag) {
-    ensure(tag < transitions.size(), "dangling DP backpointer");
+    DPIPE_ENSURE(tag < transitions.size(), "dangling DP backpointer");
     const Transition& t = transitions[tag];
     StagePlan stage;
     stage.layer_begin = t.layer_begin;
@@ -281,8 +284,8 @@ PartitionResult DpPartitioner::partition_single(
     tag = t.prev_tag;
   }
   std::reverse(result.stages.begin(), result.stages.end());
-  ensure(static_cast<int>(result.stages.size()) == S,
-         "reconstructed stage count mismatch");
+  DPIPE_ENSURE(static_cast<int>(result.stages.size()) == S,
+               "reconstructed stage count mismatch");
   return result;
 }
 

@@ -50,18 +50,20 @@ Planner::Planner(ModelDesc model, ClusterSpec cluster, PlannerOptions options)
       comm_(cluster_),
       report_(Profiler(options_.profiler).profile(model_, cluster_)) {
   validate(model_);
-  require(options_.global_batch > 0.0, "global batch must be positive");
-  ensure(model_.backbone_ids.size() <= 2,
-         "grouping must produce at most two virtual backbones");
+  DPIPE_REQUIRE(options_.global_batch > 0.0, "global batch must be positive");
+  DPIPE_ENSURE(model_.backbone_ids.size() <= 2,
+               "grouping must produce at most two virtual backbones");
   apply_default_candidates(options_, cluster_.world_size());
   for (const int v : options_.vstage_candidates) {
-    require(v >= 1, "vstage candidates must be positive");
-    require(v == 1 || options_.schedule_family == ScheduleFamily::kInterleaved,
-            "vstage candidates > 1 require schedule_family == kInterleaved");
+    DPIPE_REQUIRE(v >= 1, "vstage candidates must be positive");
+    DPIPE_REQUIRE(
+        v == 1 || options_.schedule_family == ScheduleFamily::kInterleaved,
+        "vstage candidates > 1 require schedule_family == kInterleaved");
   }
-  require(options_.schedule_family == ScheduleFamily::k1F1B ||
-              options_.schedule_family == ScheduleFamily::kInterleaved,
-          "planner searches the 1f1b and interleaved schedule families only");
+  DPIPE_REQUIRE(
+      options_.schedule_family == ScheduleFamily::k1F1B ||
+          options_.schedule_family == ScheduleFamily::kInterleaved,
+      "planner searches the 1f1b and interleaved schedule families only");
 }
 
 void Planner::apply_default_candidates(PlannerOptions& options, int world) {
@@ -391,7 +393,7 @@ Plan Planner::plan() const {
       best = std::move(*eval);
     }
   }
-  ensure(best.has_value(), "no feasible (S, M, D) configuration found");
+  DPIPE_ENSURE(best.has_value(), "no feasible (S, M, D) configuration found");
 
   plan.search.threads = pool.size();
   plan.search.combos_total = static_cast<int>(n);

@@ -18,8 +18,9 @@ Schedule ScheduleBuilder::build_bidirectional(
   // Chain slot k hosts down stage k and up stage S-1-k; they must share
   // devices (as produced by partition_bidirectional).
   for (int k = 0; k < S; ++k) {
-    require(down_stages[k].device_ranks == up_stages[S - 1 - k].device_ranks,
-            "down stage k and up stage S-1-k must share devices");
+    DPIPE_REQUIRE(
+        down_stages[k].device_ranks == up_stages[S - 1 - k].device_ranks,
+        "down stage k and up stage S-1-k must share devices");
   }
 
   const std::vector<StageTiming> down_timings =

@@ -391,18 +391,18 @@ inline std::vector<StagePlacement> backbone_placement(
 
 inline void check_stages(const std::vector<StagePlan>& stages,
                          const PartitionOptions& opts) {
-  require(!stages.empty(), "schedule needs at least one stage");
-  require(static_cast<int>(stages.size()) == opts.num_stages,
-          "stage list does not match opts.num_stages");
+  DPIPE_REQUIRE(!stages.empty(), "schedule needs at least one stage");
+  DPIPE_REQUIRE(static_cast<int>(stages.size()) == opts.num_stages,
+                "stage list does not match opts.num_stages");
   int devices = 0;
   for (const StagePlan& s : stages) {
-    require(s.replicas >= 1 &&
-                static_cast<int>(s.device_ranks.size()) == s.replicas,
-            "stage replica list inconsistent");
+    DPIPE_REQUIRE(s.replicas >= 1 &&
+                      static_cast<int>(s.device_ranks.size()) == s.replicas,
+                  "stage replica list inconsistent");
     devices += s.replicas;
   }
-  require(devices == opts.group_size,
-          "stages do not cover the pipeline group");
+  DPIPE_REQUIRE(devices == opts.group_size,
+                "stages do not cover the pipeline group");
 }
 
 }  // namespace dpipe::builder_detail

@@ -7,26 +7,26 @@ Schedule ScheduleBuilder::build_interleaved(
     int backbone_component, const std::vector<StagePlan>& stages,
     const PartitionOptions& opts, const StageCostCache* cache) const {
   using namespace builder_detail;
-  require(!stages.empty(), "schedule needs at least one stage");
+  DPIPE_REQUIRE(!stages.empty(), "schedule needs at least one stage");
   const int S = static_cast<int>(stages.size());
   const int D = opts.group_size;
   const int M = opts.num_microbatches;
-  require(S == opts.num_stages,
-          "stage list does not match opts.num_stages");
-  require(D >= 1 && S % D == 0,
-          "interleaved placement needs num_stages to be a multiple of "
-          "group_size");
+  DPIPE_REQUIRE(S == opts.num_stages,
+                "stage list does not match opts.num_stages");
+  DPIPE_REQUIRE(D >= 1 && S % D == 0,
+                "interleaved placement needs num_stages to be a multiple of "
+                "group_size");
   const int V = S / D;
-  require(V == 1 || D >= 2,
-          "interleaved with more than one virtual stage per device needs at "
-          "least two devices (a device cannot send to itself)");
+  DPIPE_REQUIRE(V == 1 || D >= 2,
+                "interleaved with more than one virtual stage per device needs "
+                "at least two devices (a device cannot send to itself)");
   for (int s = 0; s < S; ++s) {
-    require(stages[s].replicas == 1 &&
-                static_cast<int>(stages[s].device_ranks.size()) == 1,
-            "interleaved stages must have exactly one replica");
-    require(stages[s].device_ranks[0] == s % D,
-            "interleaved placement must be round-robin: stage s on device "
-            "s % group_size");
+    DPIPE_REQUIRE(stages[s].replicas == 1 &&
+                      static_cast<int>(stages[s].device_ranks.size()) == 1,
+                  "interleaved stages must have exactly one replica");
+    DPIPE_REQUIRE(stages[s].device_ranks[0] == s % D,
+                  "interleaved placement must be round-robin: stage s on "
+                  "device s % group_size");
   }
 
   const std::vector<StageTiming> timings = interleaved_stage_timings(

@@ -62,7 +62,7 @@ ScheduleFamily parse_schedule_family(const std::string& name) {
 
 double bubble_ratio(const Schedule& schedule,
                     const std::vector<Bubble>& bubbles) {
-  require(schedule.group_size > 0, "schedule has no devices");
+  DPIPE_REQUIRE(schedule.group_size > 0, "schedule has no devices");
   if (schedule.makespan_ms <= 0.0) {
     return 0.0;
   }
@@ -79,7 +79,7 @@ ScheduleBuilder::ScheduleBuilder(const ProfileDb& db, const CommModel& comm)
 
 std::vector<Bubble> extract_bubbles(const Schedule& schedule,
                                     double min_bubble_ms) {
-  require(min_bubble_ms >= 0.0, "min_bubble_ms must be non-negative");
+  DPIPE_REQUIRE(min_bubble_ms >= 0.0, "min_bubble_ms must be non-negative");
   std::vector<std::vector<Span>> idle_per_device;
   idle_per_device.reserve(schedule.devices.size());
   for (const DeviceTimeline& device : schedule.devices) {
@@ -122,8 +122,8 @@ std::vector<Span> list_schedule(
   const auto ready_time = [&](int op_index) -> double {
     double ready = 0.0;
     for (const auto& [dep, lag] : ops[op_index].deps) {
-      ensure(dep >= 0 && dep < static_cast<int>(ops.size()),
-             "dependency index out of range");
+      DPIPE_ENSURE(dep >= 0 && dep < static_cast<int>(ops.size()),
+                   "dependency index out of range");
       if (times[dep].end == kUnscheduled) {
         return kUnscheduled;  // Dependency not scheduled yet.
       }
@@ -158,7 +158,7 @@ std::vector<Span> list_schedule(
         }
       }
     }
-    ensure(best_op >= 0, "pipeline schedule deadlocked");
+    DPIPE_ENSURE(best_op >= 0, "pipeline schedule deadlocked");
     times[static_cast<std::size_t>(best_op)] = {
         best_start, best_start + ops[best_op].duration_ms};
     executor_free[best_executor] =
@@ -173,7 +173,7 @@ std::vector<Span> list_schedule(
       continue;
     }
     const double ready = ready_time(static_cast<int>(i));
-    ensure(ready != kUnscheduled, "link op depends on unscheduled op");
+    DPIPE_ENSURE(ready != kUnscheduled, "link op depends on unscheduled op");
     times[i] = {ready, ready + ops[i].duration_ms};
   }
   return times;

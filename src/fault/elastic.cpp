@@ -30,7 +30,7 @@ std::vector<int> divisors_up_to(int n, int cap) {
 }  // namespace
 
 ClusterSpec elastic_cluster(int world) {
-  require(world >= 1, "cluster needs at least one device");
+  DPIPE_REQUIRE(world >= 1, "cluster needs at least one device");
   // Survivors of a single p4de-style host: same device/link speeds, just
   // fewer accelerators behind the intra-machine switch.
   ClusterSpec cluster = make_p4de_cluster(1);

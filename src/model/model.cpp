@@ -66,9 +66,9 @@ double ComponentDesc::total_fwd_gflop() const {
 }
 
 const ComponentDesc& ModelDesc::backbone(int cascade_index) const {
-  require(cascade_index >= 0 &&
-              cascade_index < static_cast<int>(backbone_ids.size()),
-          "cascade index out of range");
+  DPIPE_REQUIRE(cascade_index >= 0 &&
+                    cascade_index < static_cast<int>(backbone_ids.size()),
+                "cascade index out of range");
   return components[backbone_ids[cascade_index]];
 }
 
@@ -115,8 +115,8 @@ std::vector<int> ModelDesc::non_trainable_topo_order() const {
       ++non_trainable_count;
     }
   }
-  ensure(static_cast<int>(order.size()) == non_trainable_count,
-         "non-trainable component dependencies contain a cycle");
+  DPIPE_ENSURE(static_cast<int>(order.size()) == non_trainable_count,
+               "non-trainable component dependencies contain a cycle");
   return order;
 }
 
@@ -131,27 +131,28 @@ double ModelDesc::trainable_param_mb() const {
 }
 
 void validate(const ModelDesc& model) {
-  require(!model.components.empty(), "model has no components");
-  require(!model.backbone_ids.empty(), "model has no backbone");
+  DPIPE_REQUIRE(!model.components.empty(), "model has no components");
+  DPIPE_REQUIRE(!model.backbone_ids.empty(), "model has no backbone");
   const int n = static_cast<int>(model.components.size());
   for (const int id : model.backbone_ids) {
-    require(id >= 0 && id < n, "backbone id out of range");
-    require(model.components[id].trainable, "backbone must be trainable");
-    require(!model.components[id].layers.empty(), "backbone has no layers");
+    DPIPE_REQUIRE(id >= 0 && id < n, "backbone id out of range");
+    DPIPE_REQUIRE(model.components[id].trainable, "backbone must be trainable");
+    DPIPE_REQUIRE(!model.components[id].layers.empty(),
+                  "backbone has no layers");
   }
   for (const ComponentDesc& c : model.components) {
     for (const int dep : c.deps) {
-      require(dep >= 0 && dep < n, "component dependency out of range");
+      DPIPE_REQUIRE(dep >= 0 && dep < n, "component dependency out of range");
     }
     for (const LayerDesc& l : c.layers) {
-      require(l.fwd_gflop >= 0.0 && l.param_mb >= 0.0 && l.output_mb >= 0.0 &&
-                  l.act_mb >= 0.0,
-              "layer sizes must be non-negative");
-      require(l.bwd_flop_factor >= 0.0, "bwd_flop_factor must be >= 0");
+      DPIPE_REQUIRE(l.fwd_gflop >= 0.0 && l.param_mb >= 0.0 &&
+                        l.output_mb >= 0.0 && l.act_mb >= 0.0,
+                    "layer sizes must be non-negative");
+      DPIPE_REQUIRE(l.bwd_flop_factor >= 0.0, "bwd_flop_factor must be >= 0");
     }
   }
-  require(model.self_cond_prob >= 0.0 && model.self_cond_prob <= 1.0,
-          "self_cond_prob must be a probability");
+  DPIPE_REQUIRE(model.self_cond_prob >= 0.0 && model.self_cond_prob <= 1.0,
+                "self_cond_prob must be a probability");
   // Throws if the non-trainable dependency graph is cyclic.
   (void)model.non_trainable_topo_order();
 }
@@ -162,9 +163,9 @@ namespace {
 /// a free-form name (names are written last on their line for this reason).
 std::string read_name_field(std::istream& in, const std::string& key) {
   std::string token;
-  require(static_cast<bool>(in >> token) && token.size() >= key.size() &&
-              token.compare(0, key.size(), key) == 0,
-          "expected " + key + " field");
+  DPIPE_REQUIRE(static_cast<bool>(in >> token) && token.size() >= key.size() &&
+                    token.compare(0, key.size(), key) == 0,
+                "expected " + key + " field");
   std::string rest;
   std::getline(in, rest);
   return token.substr(key.size()) + rest;
@@ -172,16 +173,16 @@ std::string read_name_field(std::istream& in, const std::string& key) {
 
 double read_field(std::istream& in, const std::string& key) {
   std::string token;
-  require(static_cast<bool>(in >> token) && token.size() > key.size() &&
-              token.compare(0, key.size(), key) == 0,
-          "expected " + key + " field");
+  DPIPE_REQUIRE(static_cast<bool>(in >> token) && token.size() > key.size() &&
+                    token.compare(0, key.size(), key) == 0,
+                "expected " + key + " field");
   return std::stod(token.substr(key.size()));
 }
 
 void expect_keyword(std::istream& in, const std::string& keyword) {
   std::string token;
-  require(static_cast<bool>(in >> token) && token == keyword,
-          "expected keyword " + keyword);
+  DPIPE_REQUIRE(static_cast<bool>(in >> token) && token == keyword,
+                "expected keyword " + keyword);
 }
 
 }  // namespace
@@ -225,21 +226,23 @@ ModelDesc read_canonical_model(std::istream& in) {
   // Tolerate a leading blank from a previous line-oriented reader.
   while (std::getline(in, line) && line.empty()) {
   }
-  require(line == "dpipe-model v1", "not a dpipe-model v1 block");
+  DPIPE_REQUIRE(line == "dpipe-model v1", "not a dpipe-model v1 block");
   ModelDesc model;
   model.name = read_name_field(in, "name=");
   // The name line's getline consumed its newline; subsequent reads are
   // token-based until the next name field.
   expect_keyword(in, "self_conditioning");
   int self_cond = 0;
-  require(static_cast<bool>(in >> self_cond >> model.self_cond_prob),
-          "malformed self_conditioning line");
+  DPIPE_REQUIRE(static_cast<bool>(in >> self_cond >> model.self_cond_prob),
+                "malformed self_conditioning line");
   model.self_conditioning = self_cond != 0;
   expect_keyword(in, "image_size");
-  require(static_cast<bool>(in >> model.image_size), "malformed image_size");
+  DPIPE_REQUIRE(static_cast<bool>(in >> model.image_size),
+                "malformed image_size");
   expect_keyword(in, "components");
   std::size_t num_components = 0;
-  require(static_cast<bool>(in >> num_components), "malformed components");
+  DPIPE_REQUIRE(static_cast<bool>(in >> num_components),
+                "malformed components");
   model.components.reserve(num_components);
   for (std::size_t ci = 0; ci < num_components; ++ci) {
     expect_keyword(in, "component");
@@ -248,7 +251,7 @@ ModelDesc read_canonical_model(std::istream& in) {
     const auto num_deps = static_cast<std::size_t>(read_field(in, "deps="));
     c.deps.resize(num_deps);
     for (std::size_t d = 0; d < num_deps; ++d) {
-      require(static_cast<bool>(in >> c.deps[d]), "truncated deps list");
+      DPIPE_REQUIRE(static_cast<bool>(in >> c.deps[d]), "truncated deps list");
     }
     const auto num_layers =
         static_cast<std::size_t>(read_field(in, "layers="));
@@ -258,9 +261,9 @@ ModelDesc read_canonical_model(std::istream& in) {
       expect_keyword(in, "layer");
       LayerDesc l;
       std::string kind;
-      require(static_cast<bool>(in >> kind) && kind.size() > 5 &&
-                  kind.compare(0, 5, "kind=") == 0,
-              "expected kind= field");
+      DPIPE_REQUIRE(static_cast<bool>(in >> kind) && kind.size() > 5 &&
+                        kind.compare(0, 5, "kind=") == 0,
+                    "expected kind= field");
       l.kind = layer_kind_from_string(kind.substr(5));
       l.fwd_gflop = read_field(in, "fwd=");
       l.bwd_flop_factor = read_field(in, "bwdf=");
@@ -278,11 +281,11 @@ ModelDesc read_canonical_model(std::istream& in) {
   }
   expect_keyword(in, "backbones");
   std::size_t num_backbones = 0;
-  require(static_cast<bool>(in >> num_backbones), "malformed backbones");
+  DPIPE_REQUIRE(static_cast<bool>(in >> num_backbones), "malformed backbones");
   model.backbone_ids.resize(num_backbones);
   for (std::size_t b = 0; b < num_backbones; ++b) {
-    require(static_cast<bool>(in >> model.backbone_ids[b]),
-            "truncated backbone list");
+    DPIPE_REQUIRE(static_cast<bool>(in >> model.backbone_ids[b]),
+                  "truncated backbone list");
   }
   std::getline(in, line);  // Consume the trailing newline.
   return model;

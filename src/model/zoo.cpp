@@ -36,7 +36,7 @@ void scale_total(std::vector<LayerDesc>& layers, double LayerDesc::*field,
   for (const LayerDesc& l : layers) {
     sum += l.*field;
   }
-  ensure(sum > 0.0, "cannot scale a zero-total field");
+  DPIPE_ENSURE(sum > 0.0, "cannot scale a zero-total field");
   const double factor = target_total / sum;
   for (LayerDesc& l : layers) {
     l.*field *= factor;
@@ -145,7 +145,7 @@ ComponentDesc make_sd_unet(const std::string& name) {
     add("up0_restrans" + std::to_string(i), 88, 42, 7.9, 44);
   }
   add("out_norm_conv", 10, 6, 0.033, 6);
-  ensure(c.num_layers() == 30, "SD U-Net layer count drifted");
+  DPIPE_ENSURE(c.num_layers() == 30, "SD U-Net layer count drifted");
   scale_total(c.layers, &LayerDesc::fwd_gflop, 1700.0);
   scale_total(c.layers, &LayerDesc::param_mb, 1730.0);
   scale_total(c.layers, &LayerDesc::act_mb, 1290.0);
@@ -436,8 +436,8 @@ ModelDesc make_model_by_name(const std::string& name) {
 
 ModelDesc make_synthetic_model(int num_layers, int num_frozen_layers,
                                unsigned seed) {
-  require(num_layers >= 1, "need at least one trainable layer");
-  require(num_frozen_layers >= 0, "frozen layer count must be >= 0");
+  DPIPE_REQUIRE(num_layers >= 1, "need at least one trainable layer");
+  DPIPE_REQUIRE(num_frozen_layers >= 0, "frozen layer count must be >= 0");
   const NoiseSource rng(seed, 0.9);  // wide spread for adversarial shapes
   ModelDesc m;
   m.name = "synthetic_" + std::to_string(seed);
@@ -477,7 +477,7 @@ ModelDesc make_synthetic_model(int num_layers, int num_frozen_layers,
 
 ModelDesc make_uniform_model(int num_layers, double gflop_per_layer,
                              double param_mb_per_layer) {
-  require(num_layers >= 1, "need at least one layer");
+  DPIPE_REQUIRE(num_layers >= 1, "need at least one layer");
   ModelDesc m;
   m.name = "uniform";
   ComponentDesc backbone;

@@ -8,7 +8,7 @@ namespace dpipe {
 
 AnalyticCostModel::AnalyticCostModel(DeviceSpec device, NoiseSource noise)
     : device_(std::move(device)), noise_(noise) {
-  require(device_.peak_tflops > 0.0, "device peak must be positive");
+  DPIPE_REQUIRE(device_.peak_tflops > 0.0, "device peak must be positive");
 }
 
 double AnalyticCostModel::default_efficiency(LayerKind kind) {
@@ -55,7 +55,7 @@ double AnalyticCostModel::jitter(const LayerDesc& layer, double batch,
 }
 
 double AnalyticCostModel::fwd_ms(const LayerDesc& layer, double batch) const {
-  require(batch >= 0.0, "batch must be non-negative");
+  DPIPE_REQUIRE(batch >= 0.0, "batch must be non-negative");
   if (batch == 0.0) {
     return 0.0;
   }
@@ -65,7 +65,7 @@ double AnalyticCostModel::fwd_ms(const LayerDesc& layer, double batch) const {
 }
 
 double AnalyticCostModel::bwd_ms(const LayerDesc& layer, double batch) const {
-  require(batch >= 0.0, "batch must be non-negative");
+  DPIPE_REQUIRE(batch >= 0.0, "batch must be non-negative");
   if (batch == 0.0) {
     return 0.0;
   }

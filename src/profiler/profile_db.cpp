@@ -11,12 +11,13 @@ std::vector<double> default_batch_grid() {
 ProfileDb::ProfileDb(const ModelDesc& model, const AnalyticCostModel& cost,
                      std::vector<double> batch_grid)
     : model_(model), batch_grid_(std::move(batch_grid)) {
-  require(!batch_grid_.empty(), "batch grid must be non-empty");
-  require(std::is_sorted(batch_grid_.begin(), batch_grid_.end()) &&
-              std::adjacent_find(batch_grid_.begin(), batch_grid_.end()) ==
-                  batch_grid_.end(),
-          "batch grid must be strictly increasing");
-  require(batch_grid_.front() > 0.0, "batch grid must be positive");
+  DPIPE_REQUIRE(!batch_grid_.empty(), "batch grid must be non-empty");
+  DPIPE_REQUIRE(
+      std::is_sorted(batch_grid_.begin(), batch_grid_.end()) &&
+          std::adjacent_find(batch_grid_.begin(), batch_grid_.end()) ==
+              batch_grid_.end(),
+      "batch grid must be strictly increasing");
+  DPIPE_REQUIRE(batch_grid_.front() > 0.0, "batch grid must be positive");
   validate(model_);
 
   const std::size_t grid = batch_grid_.size();
@@ -63,7 +64,7 @@ ProfileDb::Segment ProfileDb::segment(double batch) const {
 
 double ProfileDb::interpolate(const std::vector<double>& samples,
                               double batch) const {
-  require(batch >= 0.0, "batch must be non-negative");
+  DPIPE_REQUIRE(batch >= 0.0, "batch must be non-negative");
   if (batch == 0.0) {
     return 0.0;
   }
@@ -78,7 +79,7 @@ double ProfileDb::interpolate(const std::vector<double>& samples,
 double ProfileDb::interpolate_range(
     const std::vector<std::vector<double>>& prefix, int lo, int hi,
     double batch) const {
-  require(batch >= 0.0, "batch must be non-negative");
+  DPIPE_REQUIRE(batch >= 0.0, "batch must be non-negative");
   if (batch_grid_.size() == 1) {
     return (prefix[0][hi] - prefix[0][lo]) * batch / batch_grid_[0];
   }
@@ -140,12 +141,12 @@ const LayerDesc& ProfileDb::layer(int component, int layer) const {
 }
 
 void ProfileDb::check_range(int component, int lo, int hi) const {
-  require(component >= 0 &&
-              component < static_cast<int>(model_.components.size()),
-          "component index out of range");
+  DPIPE_REQUIRE(component >= 0 &&
+                    component < static_cast<int>(model_.components.size()),
+                "component index out of range");
   const int num_layers = model_.components[component].num_layers();
-  require(lo >= 0 && lo <= hi && hi <= num_layers,
-          "layer range out of bounds");
+  DPIPE_REQUIRE(lo >= 0 && lo <= hi && hi <= num_layers,
+                "layer range out of bounds");
 }
 
 }  // namespace dpipe

@@ -6,8 +6,8 @@
 namespace dpipe {
 
 Profiler::Profiler(ProfilerOptions options) : options_(std::move(options)) {
-  require(options_.repeats >= 1, "repeats must be >= 1");
-  require(options_.warmup_repeats >= 0, "warmup_repeats must be >= 0");
+  DPIPE_REQUIRE(options_.repeats >= 1, "repeats must be >= 1");
+  DPIPE_REQUIRE(options_.warmup_repeats >= 0, "warmup_repeats must be >= 0");
 }
 
 ProfileReport Profiler::profile(const ModelDesc& model,
@@ -62,28 +62,29 @@ ProfilerOptions read_canonical_profiler_options(std::istream& in) {
   std::string line;
   while (std::getline(in, line) && line.empty()) {
   }
-  require(line == "dpipe-profiler v1", "not a dpipe-profiler v1 block");
+  DPIPE_REQUIRE(line == "dpipe-profiler v1", "not a dpipe-profiler v1 block");
   ProfilerOptions options;
   std::string keyword;
-  require(static_cast<bool>(in >> keyword) && keyword == "batch_grid",
-          "expected batch_grid line");
+  DPIPE_REQUIRE(static_cast<bool>(in >> keyword) && keyword == "batch_grid",
+                "expected batch_grid line");
   std::size_t grid_size = 0;
-  require(static_cast<bool>(in >> grid_size), "malformed batch_grid size");
+  DPIPE_REQUIRE(static_cast<bool>(in >> grid_size),
+                "malformed batch_grid size");
   options.batch_grid.resize(grid_size);
   for (std::size_t i = 0; i < grid_size; ++i) {
-    require(static_cast<bool>(in >> options.batch_grid[i]),
-            "truncated batch_grid");
+    DPIPE_REQUIRE(static_cast<bool>(in >> options.batch_grid[i]),
+                  "truncated batch_grid");
   }
-  require(static_cast<bool>(in >> keyword) && keyword == "noise",
-          "expected noise line");
-  require(static_cast<bool>(in >> options.noise_seed >>
-                            options.noise_amplitude),
-          "malformed noise line");
-  require(static_cast<bool>(in >> keyword) && keyword == "repeats",
-          "expected repeats line");
-  require(static_cast<bool>(in >> options.repeats >>
-                            options.warmup_repeats),
-          "malformed repeats line");
+  DPIPE_REQUIRE(static_cast<bool>(in >> keyword) && keyword == "noise",
+                "expected noise line");
+  DPIPE_REQUIRE(static_cast<bool>(in >> options.noise_seed >>
+                                  options.noise_amplitude),
+                "malformed noise line");
+  DPIPE_REQUIRE(static_cast<bool>(in >> keyword) && keyword == "repeats",
+                "expected repeats line");
+  DPIPE_REQUIRE(static_cast<bool>(in >> options.repeats >>
+                                  options.warmup_repeats),
+                "malformed repeats line");
   std::getline(in, line);  // Consume the trailing newline.
   return options;
 }

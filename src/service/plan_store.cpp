@@ -18,23 +18,23 @@ namespace {
 
 double field(std::istream& in, const std::string& key) {
   std::string token;
-  require(static_cast<bool>(in >> token) && token.size() > key.size() &&
-              token.compare(0, key.size(), key) == 0,
-          "malformed plan field, expected " + key);
+  DPIPE_REQUIRE(static_cast<bool>(in >> token) && token.size() > key.size() &&
+                    token.compare(0, key.size(), key) == 0,
+                "malformed plan field, expected " + key);
   return std::stod(token.substr(key.size()));
 }
 
 void expect_keyword(std::istream& in, const std::string& keyword) {
   std::string token;
-  require(static_cast<bool>(in >> token) && token == keyword,
-          "expected keyword " + keyword);
+  DPIPE_REQUIRE(static_cast<bool>(in >> token) && token == keyword,
+                "expected keyword " + keyword);
 }
 
 Fingerprint read_fingerprint_line(std::istream& in,
                                   const std::string& keyword) {
   expect_keyword(in, keyword);
   std::string hex;
-  require(static_cast<bool>(in >> hex), "truncated " + keyword);
+  DPIPE_REQUIRE(static_cast<bool>(in >> hex), "truncated " + keyword);
   return Fingerprint::from_hex(hex);
 }
 
@@ -42,13 +42,14 @@ Fingerprint read_fingerprint_line(std::istream& in,
 std::string read_sized_block(std::istream& in, const std::string& keyword) {
   expect_keyword(in, keyword);
   std::size_t bytes = 0;
-  require(static_cast<bool>(in >> bytes), "malformed " + keyword + " size");
+  DPIPE_REQUIRE(static_cast<bool>(in >> bytes),
+                "malformed " + keyword + " size");
   std::string line;
   std::getline(in, line);  // Consume the header's newline.
   std::string block(bytes, '\0');
   in.read(block.data(), static_cast<std::streamsize>(bytes));
-  require(static_cast<std::size_t>(in.gcount()) == bytes,
-          "truncated " + keyword + " block");
+  DPIPE_REQUIRE(static_cast<std::size_t>(in.gcount()) == bytes,
+                "truncated " + keyword + " block");
   return block;
 }
 
@@ -86,8 +87,8 @@ PartitionOptions read_partition_opts(std::istream& in) {
   const auto num_ranks = static_cast<std::size_t>(field(in, "ranks="));
   opts.device_ranks.resize(num_ranks);
   for (std::size_t i = 0; i < num_ranks; ++i) {
-    require(static_cast<bool>(in >> opts.device_ranks[i]),
-            "truncated device_ranks");
+    DPIPE_REQUIRE(static_cast<bool>(in >> opts.device_ranks[i]),
+                  "truncated device_ranks");
   }
   return opts;
 }
@@ -142,8 +143,8 @@ void save_plan_entry(const CachedPlan& entry, std::ostream& out) {
 
 CachedPlan load_plan_entry(std::istream& in) {
   std::string line;
-  require(std::getline(in, line) && line == "dpipe-plan v1",
-          "not a dpipe-plan v1 file");
+  DPIPE_REQUIRE(std::getline(in, line) && line == "dpipe-plan v1",
+                "not a dpipe-plan v1 file");
   CachedPlan entry;
   entry.fingerprint = read_fingerprint_line(in, "fingerprint");
   entry.model_fp = read_fingerprint_line(in, "model_fingerprint");
@@ -153,7 +154,7 @@ CachedPlan load_plan_entry(std::istream& in) {
   entry.partition_opts = read_partition_opts(in);
   expect_keyword(in, "explored");
   std::size_t explored_count = 0;
-  require(static_cast<bool>(in >> explored_count), "malformed explored");
+  DPIPE_REQUIRE(static_cast<bool>(in >> explored_count), "malformed explored");
   entry.explored.reserve(explored_count);
   for (std::size_t i = 0; i < explored_count; ++i) {
     entry.explored.push_back(read_plan_config(in));
@@ -165,19 +166,19 @@ CachedPlan load_plan_entry(std::istream& in) {
   // Verification: the stored fingerprints must re-derive from the stored
   // request bytes, and the program must parse. A stale or bit-rotted entry
   // fails here instead of being served.
-  require(fingerprint_bytes(entry.request_text) == entry.fingerprint,
-          "plan entry fingerprint does not match its request bytes");
+  DPIPE_REQUIRE(fingerprint_bytes(entry.request_text) == entry.fingerprint,
+                "plan entry fingerprint does not match its request bytes");
   const PlanRequest request = parse_request_text(entry.request_text);
-  require(model_fingerprint(request.model) == entry.model_fp,
-          "plan entry model fingerprint mismatch");
-  require(cluster_fingerprint(request.cluster) == entry.cluster_fp,
-          "plan entry cluster fingerprint mismatch");
+  DPIPE_REQUIRE(model_fingerprint(request.model) == entry.model_fp,
+                "plan entry model fingerprint mismatch");
+  DPIPE_REQUIRE(cluster_fingerprint(request.cluster) == entry.cluster_fp,
+                "plan entry cluster fingerprint mismatch");
   (void)program_from_string(entry.program_text);
   return entry;
 }
 
 PlanStore::PlanStore(std::string dir) : dir_(std::move(dir)) {
-  require(!dir_.empty(), "plan store directory must be non-empty");
+  DPIPE_REQUIRE(!dir_.empty(), "plan store directory must be non-empty");
   fs::create_directories(dir_);
 }
 
@@ -199,10 +200,11 @@ PlanStore::LoadReport PlanStore::load_all() {
   for (const fs::path& path : files) {
     try {
       std::ifstream in(path, std::ios::binary);
-      require(static_cast<bool>(in), "cannot open plan file");
+      DPIPE_REQUIRE(static_cast<bool>(in), "cannot open plan file");
       auto entry = std::make_shared<CachedPlan>(load_plan_entry(in));
-      require(path.filename().string() == entry->fingerprint.hex() + ".plan",
-              "plan file name does not match its fingerprint");
+      DPIPE_REQUIRE(
+          path.filename().string() == entry->fingerprint.hex() + ".plan",
+          "plan file name does not match its fingerprint");
       report.plans.push_back(std::move(entry));
     } catch (const std::exception&) {
       // Corrupt or stale-format entry: drop it from disk so it is
@@ -220,10 +222,11 @@ void PlanStore::put(const CachedPlan& entry) {
   const std::string tmp_path = final_path + ".tmp";
   {
     std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-    require(static_cast<bool>(out),
-            "cannot open plan store file for writing: " + tmp_path);
+    DPIPE_REQUIRE(static_cast<bool>(out),
+                  "cannot open plan store file for writing: " + tmp_path);
     save_plan_entry(entry, out);
-    require(static_cast<bool>(out), "plan store write failed: " + tmp_path);
+    DPIPE_REQUIRE(static_cast<bool>(out),
+                  "plan store write failed: " + tmp_path);
   }
   fs::rename(tmp_path, final_path);
 }

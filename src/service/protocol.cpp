@@ -73,7 +73,7 @@ std::string stats_text(const PlanService& service) {
 }  // namespace
 
 void write_frame(int fd, const std::string& payload) {
-  require(payload.size() <= kMaxFrameBytes, "frame payload too large");
+  DPIPE_REQUIRE(payload.size() <= kMaxFrameBytes, "frame payload too large");
   const auto length = static_cast<std::uint32_t>(payload.size());
   char header[4] = {static_cast<char>((length >> 24) & 0xFF),
                     static_cast<char>((length >> 16) & 0xFF),
@@ -125,7 +125,7 @@ PlanResponse decode_plan_response(const std::string& payload) {
   PlanResponse response;
   std::istringstream in(payload);
   std::string keyword;
-  require(static_cast<bool>(in >> keyword), "empty response payload");
+  DPIPE_REQUIRE(static_cast<bool>(in >> keyword), "empty response payload");
   if (keyword == "error") {
     std::getline(in, response.error);
     if (!response.error.empty() && response.error.front() == ' ') {
@@ -133,11 +133,11 @@ PlanResponse decode_plan_response(const std::string& payload) {
     }
     return response;
   }
-  require(keyword == "ok", "malformed response verb");
+  DPIPE_REQUIRE(keyword == "ok", "malformed response verb");
   std::string hit_token;
-  require(static_cast<bool>(in >> hit_token) &&
-              hit_token.rfind("hit=", 0) == 0,
-          "malformed response hit field");
+  DPIPE_REQUIRE(static_cast<bool>(in >> hit_token) &&
+                    hit_token.rfind("hit=", 0) == 0,
+                "malformed response hit field");
   response.cache_hit = hit_token.substr(4) != "0";
   std::string line;
   std::getline(in, line);  // Consume the status line's newline.

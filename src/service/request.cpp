@@ -24,19 +24,20 @@ void write_candidates(std::ostream& out, const char* label,
 
 std::vector<int> read_candidates(std::istream& in, const std::string& label) {
   std::string keyword;
-  require(static_cast<bool>(in >> keyword) && keyword == label,
-          "expected " + label + " line");
+  DPIPE_REQUIRE(static_cast<bool>(in >> keyword) && keyword == label,
+                "expected " + label + " line");
   std::size_t count = 0;
-  require(static_cast<bool>(in >> count), "malformed " + label + " count");
+  DPIPE_REQUIRE(static_cast<bool>(in >> count),
+                "malformed " + label + " count");
   // Each value takes at least two bytes (separator and digit): a count the
   // rest of the payload cannot hold is rejected before it sizes anything.
   const std::streamsize left =
       std::max<std::streamsize>(in.rdbuf()->in_avail(), 0);
-  require(count <= static_cast<std::size_t>(left) / 2,
-          label + " count exceeds the payload");
+  DPIPE_REQUIRE(count <= static_cast<std::size_t>(left) / 2,
+                label + " count exceeds the payload");
   std::vector<int> values(count);
   for (std::size_t i = 0; i < count; ++i) {
-    require(static_cast<bool>(in >> values[i]), "truncated " + label);
+    DPIPE_REQUIRE(static_cast<bool>(in >> values[i]), "truncated " + label);
   }
   return values;
 }
@@ -71,33 +72,33 @@ std::string canonical_request_text(const PlanRequest& request) {
 PlanRequest parse_request_text(const std::string& text) {
   std::istringstream in(text);
   std::string line;
-  require(std::getline(in, line) && line == "dpipe-plan-request v2",
-          "not a dpipe-plan-request v2 payload");
+  DPIPE_REQUIRE(std::getline(in, line) && line == "dpipe-plan-request v2",
+                "not a dpipe-plan-request v2 payload");
   PlanRequest request;
   request.model = read_canonical_model(in);
   request.cluster = read_canonical_cluster(in);
   std::string keyword;
-  require(static_cast<bool>(in >> keyword) && keyword == "options",
-          "expected options line");
+  DPIPE_REQUIRE(static_cast<bool>(in >> keyword) && keyword == "options",
+                "expected options line");
   // Each value must be one finite number filling the rest of its token: no
   // trailing bytes, no inf/nan, nothing out of double range.
   const auto field = [&in](const std::string& key) {
     std::string token;
-    require(static_cast<bool>(in >> token) && token.size() > key.size() &&
-                token.compare(0, key.size(), key) == 0,
-            "expected options field " + key);
+    DPIPE_REQUIRE(static_cast<bool>(in >> token) && token.size() > key.size() &&
+                      token.compare(0, key.size(), key) == 0,
+                  "expected options field " + key);
     const char* last = token.data() + token.size();
     double value = 0.0;
     const auto [end, ec] =
         std::from_chars(token.data() + key.size(), last, value);
-    require(ec == std::errc() && end == last && std::isfinite(value),
-            "malformed options field " + token);
+    DPIPE_REQUIRE(ec == std::errc() && end == last && std::isfinite(value),
+                  "malformed options field " + token);
     return value;
   };
   const auto flag = [&field](const std::string& key) {
     const double value = field(key);
-    require(value == 0.0 || value == 1.0, "options field " + key +
-                                              " must be 0 or 1");
+    DPIPE_REQUIRE(value == 0.0 || value == 1.0, "options field " + key +
+                                                    " must be 0 or 1");
     return value == 1.0;
   };
   request.options.global_batch = field("global_batch=");
@@ -108,10 +109,11 @@ PlanRequest parse_request_text(const std::string& text) {
   request.options.enable_pruning = flag("prune=");
   request.options.require_bindable_placement = flag("bindable=");
   const double family = field("family=");
-  require(family >= static_cast<double>(ScheduleFamily::k1F1B) &&
-              family <= static_cast<double>(ScheduleFamily::kInterleaved) &&
-              family == std::floor(family),
-          "options field family= names no schedule family");
+  DPIPE_REQUIRE(
+      family >= static_cast<double>(ScheduleFamily::k1F1B) &&
+          family <= static_cast<double>(ScheduleFamily::kInterleaved) &&
+          family == std::floor(family),
+      "options field family= names no schedule family");
   request.options.schedule_family =
       static_cast<ScheduleFamily>(static_cast<int>(family));
   request.options.stage_candidates = read_candidates(in, "stage_candidates");
@@ -120,8 +122,8 @@ PlanRequest parse_request_text(const std::string& text) {
   request.options.vstage_candidates =
       read_candidates(in, "vstage_candidates");
   request.options.profiler = read_canonical_profiler_options(in);
-  require(static_cast<bool>(in >> keyword) && keyword == "end",
-          "expected request terminator");
+  DPIPE_REQUIRE(static_cast<bool>(in >> keyword) && keyword == "end",
+                "expected request terminator");
   return request;
 }
 

@@ -4,6 +4,10 @@
 #include <thread>
 #include <vector>
 
+#include "cluster/cluster.h"
+#include "model/zoo.h"
+#include "profiler/cost_model.h"
+#include "profiler/profile_db.h"
 #include "runtime/dp_trainer.h"
 #include "runtime/interpreter.h"
 #include "runtime/pipeline_exec.h"
@@ -531,21 +535,114 @@ TEST(PipelineTrainer, RejectsOutOfRangeFaultInjection) {
 }
 
 TEST(ErrorMacros, LocateFailuresWithFileAndLine) {
+  const std::string key = "field";
+  int line = 0;
   try {
-    DPIPE_REQUIRE(false, "precondition text");
+    line = __LINE__ + 1;
+    DPIPE_REQUIRE(key.empty(), "expected " + key + " to be empty");
     FAIL() << "DPIPE_REQUIRE did not throw";
   } catch (const std::invalid_argument& e) {
+    const std::string suffix = "test_runtime.cpp:" + std::to_string(line) +
+                               ": expected field to be empty";
     const std::string what = e.what();
-    EXPECT_NE(what.find("test_runtime.cpp"), std::string::npos) << what;
-    EXPECT_NE(what.find("precondition text"), std::string::npos) << what;
+    ASSERT_GE(what.size(), suffix.size()) << what;
+    EXPECT_EQ(what.substr(what.size() - suffix.size()), suffix) << what;
   }
   try {
-    DPIPE_ENSURE(false, "invariant text");
+    line = __LINE__ + 1;
+    DPIPE_ENSURE(!key.empty() && key.size() > 8, "invariant text");
     FAIL() << "DPIPE_ENSURE did not throw";
+  } catch (const std::invalid_argument& e) {
+    FAIL() << "DPIPE_ENSURE threw invalid_argument: " << e.what();
   } catch (const std::logic_error& e) {
+    const std::string suffix =
+        "test_runtime.cpp:" + std::to_string(line) + ": invariant text";
     const std::string what = e.what();
-    EXPECT_NE(what.find(":"), std::string::npos);
-    EXPECT_NE(what.find("invariant text"), std::string::npos) << what;
+    ASSERT_GE(what.size(), suffix.size()) << what;
+    EXPECT_EQ(what.substr(what.size() - suffix.size()), suffix) << what;
+  }
+}
+
+TEST(ErrorMacros, PassingChecksNeverEvaluateTheirMessage) {
+  int built = 0;
+  const auto message = [&built] {
+    ++built;
+    return std::string("a message long enough to need the heap");
+  };
+  for (int i = 0; i < 3; ++i) {
+    DPIPE_REQUIRE(i >= 0, message());
+    DPIPE_ENSURE(i < 3, message() + " (concatenated)");
+  }
+  EXPECT_EQ(built, 0);
+  EXPECT_THROW(DPIPE_REQUIRE(built > 0, message()), std::invalid_argument);
+  EXPECT_EQ(built, 1);
+  EXPECT_THROW(DPIPE_ENSURE(built > 1, message()), std::logic_error);
+  EXPECT_EQ(built, 2);
+}
+
+TEST(ErrorMacros, ConditionIsEvaluatedExactlyOnce) {
+  int evaluations = 0;
+  const auto count = [&evaluations](bool value) {
+    ++evaluations;
+    return value;
+  };
+  DPIPE_REQUIRE(count(true), "unused");
+  EXPECT_EQ(evaluations, 1);
+  DPIPE_ENSURE(count(true), "unused");
+  EXPECT_EQ(evaluations, 2);
+  EXPECT_THROW(DPIPE_REQUIRE(count(false), "failed"), std::invalid_argument);
+  EXPECT_EQ(evaluations, 3);
+  EXPECT_THROW(DPIPE_ENSURE(count(false), "failed"), std::logic_error);
+  EXPECT_EQ(evaluations, 4);
+}
+
+// Each macro is one statement: it can be the whole body of an unbraced if
+// or else, and a following else binds to the caller's if.
+TEST(ErrorMacros, SafeAsUnbracedIfElseBodies) {
+  const auto branch = [](bool take_if, bool check) {
+    int taken = 0;
+    if (take_if)
+      DPIPE_REQUIRE(check, "if-branch check");
+    else
+      DPIPE_ENSURE(check, "else-branch check");
+    if (!take_if)
+      taken = 2;
+    else
+      taken = 1;
+    return taken;
+  };
+  EXPECT_EQ(branch(true, true), 1);
+  EXPECT_EQ(branch(false, true), 2);
+  EXPECT_THROW(branch(true, false), std::invalid_argument);
+  try {
+    branch(false, false);
+    FAIL() << "else-branch check did not throw";
+  } catch (const std::invalid_argument&) {
+    FAIL() << "else-branch ran the if-branch check";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("else-branch check"),
+              std::string::npos);
+  }
+}
+
+// A library check site (ProfileDb's range check) throws its documented
+// type and text, prefixed with the library source line.
+TEST(ErrorMacros, LibraryCheckKeepsTypeTextAndSourceLine) {
+  const ModelDesc model = make_stable_diffusion_v21();
+  const ClusterSpec cluster = make_p4de_cluster(1);
+  const ProfileDb db(model,
+                     AnalyticCostModel(cluster.device, NoiseSource(0xD1FF)),
+                     default_batch_grid());
+  const int backbone = model.backbone_ids.front();
+  const int layers = model.components[backbone].num_layers();
+  try {
+    (void)db.fwd_range_ms(backbone, 0, layers + 1, 8.0);
+    FAIL() << "out-of-range fwd_range_ms did not throw";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("layer range out of bounds"), std::string::npos)
+        << what;
+    EXPECT_EQ(what.rfind("src/profiler/profile_db.cpp:", 0), 0u) << what;
   }
 }
 

@@ -8,7 +8,8 @@
 # the plan-service suites (single-flight cache, stage-cost leases, concurrent
 # request determinism), then an AddressSanitizer+UBSan build running the
 # planner, cascade-DP, stage-cost and plan-service suites plus the
-# interpreter, channel, trainer, fault and elastic suites, a socket-level
+# interpreter, channel, trainer, fault and elastic suites, the check macros
+# and the program/checkpoint/profile parsers, a socket-level
 # request-storm smoke of dpipe_plan_serve, and finally the repository
 # benchmark's smoke test (dpbench/), which builds the benchmark from these
 # sources so an API it uses cannot be cut unnoticed.
@@ -17,7 +18,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-echo "== tier-1: standard build + ctest =="
+echo "== tier-1: standard build + ctest (dpipe_tests, dpipe_alloc_tests) =="
 cmake -B build -S .
 cmake --build build -j"$(nproc)"
 (cd build && ctest --output-on-failure -j"$(nproc)")
@@ -41,8 +42,12 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/dpipe_tests \
 echo "== tier-1: ASan+UBSan build (planner, service, runtime + fault tests) =="
 cmake -B build-asan -S . -DDPIPE_SANITIZE=address,undefined
 cmake --build build-asan -j"$(nproc)" --target dpipe_tests
+# ErrorMacros, Serialize, CheckpointIo and ProfileDb put the out-of-line
+# check thrower and the parsers' rejection paths under ASan and UBSan.
+# dpipe_alloc_tests is not built here: it replaces the global operator new,
+# which the sanitizers own, so it runs only in the standard build's ctest.
 ./build-asan/tests/dpipe_tests \
-  --gtest_filter='PlannerSearch.*:Bidirectional.*:StageCostCache.*:StageCostStore.*:PlanFingerprint.*:PlanService.*:Interpreter.*:Channel.*:PipelineTrainer.*:Fault.*:Elastic.*'
+  --gtest_filter='PlannerSearch.*:Bidirectional.*:StageCostCache.*:StageCostStore.*:PlanFingerprint.*:PlanService.*:Interpreter.*:Channel.*:PipelineTrainer.*:Fault.*:Elastic.*:ErrorMacros.*:Serialize.*:CheckpointIo.*:ProfileDb.*:ProfileDbInterp.*'
 
 echo "== tier-1: interleaved schedule smoke =="
 # The interleaved family exercises multi-virtual-stage device timelines on
