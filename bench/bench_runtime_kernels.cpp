@@ -6,7 +6,7 @@
 // register-tile compute ceiling at the active SIMD level, an elementwise
 // bandwidth section (GB/s, scalar vs active SIMD level) for the fused
 // eltwise/optimizer kernels, end-to-end PipelineTrainer iterations/s on the
-// benchmark's train_wide shape for intra-op pool widths 1..4 under the
+// benchmark's train_wide shape for process pool widths 1..4 under the
 // serial and pooled wave drivers (DESIGN.md §13), a GEMM vs non-GEMM time
 // breakdown of that trainer (via the runtime op profiler), and TensorPool
 // recycling/alignment stats. Prints a table and writes BENCH_runtime.json,
@@ -45,6 +45,7 @@ namespace {
 
 using namespace dpipe::rt;
 using dpipe::InstructionProgram;
+using dpipe::set_pool_width;
 using dpipe::ScheduleFamily;
 
 constexpr const char* kTimingIdiom =
@@ -125,13 +126,13 @@ MatmulRow run_matmul_case(const std::string& op, int m, int k, int n,
   row.m = m;
   row.k = k;
   row.n = n;
-  set_kernel_threads(1);
+  set_pool_width(1);
   // Naive is two orders of magnitude slower; fewer reps at big shapes.
   row.naive_gflops = time_gflops(fn, out, a, b, KernelMode::kNaive, flops,
                                  flops >= (1 << 26) ? 1 : 2);
   row.blocked_gflops =
       time_gflops(fn, out, a, b, KernelMode::kBlocked, flops, reps);
-  set_kernel_threads(0);
+  set_pool_width(0);
   row.blocked_vs_naive = row.blocked_gflops / row.naive_gflops;
   return row;
 }
@@ -274,7 +275,7 @@ struct WideShape {
 };
 
 struct EndToEndRow {
-  int pool_threads = 0;  ///< Intra-op pool width (a host of this many cores).
+  int pool_threads = 0;  ///< Process pool width (a host of this many cores).
   std::string driver;    ///< "serial" (W = 1) or "pooled" (W = min(4, pool)).
   int wave_width = 0;
   double iters_per_s = 0.0;
@@ -301,7 +302,7 @@ std::vector<EndToEndRow> run_end_to_end(int iters, int rounds,
       row.driver = exec == WaveExec::kSerial ? "serial" : "pooled";
       row.wave_width = exec == WaveExec::kSerial ? 1 : std::min(tasks, threads);
       rows.push_back(row);
-      set_kernel_threads(threads);
+      set_pool_width(threads);
       set_wave_exec(exec);
       trainers.push_back(wide.trainer());
       trainers.back()->train(2);  // Warm-up: pool fill.
@@ -310,7 +311,7 @@ std::vector<EndToEndRow> run_end_to_end(int iters, int rounds,
   std::vector<double> best_ms(rows.size(), 0.0);
   for (int round = 0; round < rounds; ++round) {
     for (std::size_t i = 0; i < rows.size(); ++i) {
-      set_kernel_threads(rows[i].pool_threads);
+      set_pool_width(rows[i].pool_threads);
       set_wave_exec(rows[i].driver == "serial" ? WaveExec::kSerial
                                                : WaveExec::kThreads);
       const double start = now_ms();
@@ -322,7 +323,7 @@ std::vector<EndToEndRow> run_end_to_end(int iters, int rounds,
     }
   }
   set_wave_exec(WaveExec::kAuto);
-  set_kernel_threads(0);
+  set_pool_width(0);
   for (std::size_t i = 0; i < rows.size(); ++i) {
     rows[i].iters_per_s = iters / (best_ms[i] / 1000.0);
     const std::size_t serial = i - i % 2;  // Serial row of this width.
@@ -350,7 +351,7 @@ struct OpBreakdown {
 /// number.
 OpBreakdown run_op_breakdown(int iters) {
   set_kernel_mode(KernelMode::kBlocked);
-  set_kernel_threads(0);
+  set_pool_width(0);
   const WideShape wide;
   const std::unique_ptr<PipelineTrainer> trainer = wide.trainer();
   trainer->train(2);  // Warm-up.

@@ -1,13 +1,6 @@
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
-#include <functional>
-#include <memory>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace dpipe {
 
@@ -18,66 +11,53 @@ namespace dpipe {
 /// std::thread::hardware_concurrency() (minimum 1).
 [[nodiscard]] int default_thread_count();
 
-/// True while the calling thread is executing inside a ThreadPool batch
-/// (as a worker or as the caller participating in its own parallel_for).
-/// parallel_for is not reentrant, so code that may run both standalone and
-/// inside a batch (the runtime's intra-op kernels) uses this to fall back
-/// to its inline path instead of touching any pool.
+/// True while the calling thread is executing inside a process-pool batch
+/// (as a worker or as the caller participating in its own batch). A
+/// parallel_for issued from such a thread runs inline: one level of
+/// parallelism at a time.
 [[nodiscard]] bool in_parallel_region();
 
-/// A small fork-join thread pool for data-parallel host-side work (the
-/// planner's (S, M, D) grid search). Workers are started once and reused
-/// across parallel_for calls; the calling thread participates in every
-/// batch, so a pool of size 1 runs everything inline with no worker
-/// threads and no synchronization on the work items.
-///
-/// Determinism contract: parallel_for(n, fn) invokes fn(i) exactly once for
-/// every i in [0, n); which thread runs which index is unspecified, so fn
-/// must only write to per-index state (e.g. results[i]). Under that
-/// contract the result of a parallel_for is bit-identical for any pool
-/// size, which the planner's parity tests rely on.
-class ThreadPool {
- public:
-  /// num_threads <= 0 selects default_thread_count().
-  explicit ThreadPool(int num_threads = 0);
-  ~ThreadPool();
+// --- The process pool -------------------------------------------------------
+// One set of persistent worker threads serves every fan-out in the library:
+// the planner's (S, M, D, V) grid search, the runtime's matmul task grid and
+// elementwise sweeps, and the program interpreter's wave workers. It is
+// built lazily at the first batch that needs a second thread, so no thread
+// is started after that. Independent callers may enter concurrently: one
+// batch runs at a time, and a caller that finds a batch genuinely in flight
+// runs its own work inline instead of waiting (see parallel.cpp).
+//
+// Determinism contract: parallel_for(n, fn) invokes fn(i) exactly once for
+// every i in [0, n); which thread runs which index is unspecified, so fn
+// must only write to per-index state (e.g. results[i]). Under that contract
+// the result is bit-identical for every width, the inline fallback
+// included, which the planner's and the runtime's parity tests rely on.
 
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
+/// Width of the process pool (worker threads + the calling thread):
+/// default_thread_count() unless set_pool_width pinned it.
+[[nodiscard]] int pool_width();
 
-  /// Total execution width (worker threads + the calling thread).
-  [[nodiscard]] int size() const {
-    return static_cast<int>(workers_.size()) + 1;
-  }
+/// Rebuilds the process pool with `num_threads` threads (<= 0 restores
+/// default_thread_count()). Waits for an in-flight batch to finish.
+void set_pool_width(int num_threads);
 
-  /// Runs fn(i) for every i in [0, n), blocking until all are done. The
-  /// first exception thrown by fn is rethrown here (remaining indices are
-  /// skipped once an exception is recorded). Not reentrant: fn must not
-  /// call parallel_for on the same pool.
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
+/// Runs fn(ctx, i) for every i in [0, n) as one batch on the process pool,
+/// at width min(n, max_width, pool_width()) (max_width <= 0: no cap), and
+/// returns that width. The caller participates in the batch. Width 1, a
+/// caller already in_parallel_region(), and a pool busy with another
+/// caller's batch all run the indices inline on the caller in ascending
+/// order and return 1. The first exception thrown by fn is rethrown here
+/// (indices not yet started are skipped); the pool stays usable.
+int parallel_run(std::size_t n, int max_width,
+                 void (*fn)(void* ctx, std::size_t i), void* ctx);
 
- private:
-  /// One parallel_for invocation, shared between the caller and workers.
-  struct Batch {
-    std::size_t total = 0;
-    const std::function<void(std::size_t)>* fn = nullptr;
-    std::atomic<std::size_t> next{0};       ///< Next index to claim.
-    std::atomic<std::size_t> completed{0};  ///< Indices finished/skipped.
-    std::atomic<bool> cancelled{false};     ///< Set on first exception.
-    std::exception_ptr error;               ///< Guarded by the pool mutex.
-  };
-
-  void worker_loop();
-  void run_batch(const std::shared_ptr<Batch>& batch);
-
-  std::vector<std::thread> workers_;
-  std::mutex mutex_;
-  std::condition_variable work_cv_;  ///< Signals workers: new batch/stop.
-  std::condition_variable done_cv_;  ///< Signals the caller: batch done.
-  std::shared_ptr<Batch> batch_;     ///< Active batch (null when idle).
-  std::uint64_t epoch_ = 0;          ///< Bumped per batch so workers that
-                                     ///< missed one don't rejoin it late.
-  bool stop_ = false;
-};
+/// Type-safe parallel_run: no allocation, the callable lives on the
+/// caller's stack for the duration of the batch.
+template <typename Fn>
+int parallel_for(std::size_t n, const Fn& fn, int max_width = 0) {
+  return parallel_run(
+      n, max_width,
+      [](void* ctx, std::size_t i) { (*static_cast<const Fn*>(ctx))(i); },
+      const_cast<void*>(static_cast<const void*>(&fn)));
+}
 
 }  // namespace dpipe

@@ -353,22 +353,24 @@ Plan Planner::plan() const {
   }
 
   // Evaluation. Each index writes only results[i], so the parallel outcome
-  // is bit-identical for any pool size (see ThreadPool's contract); the
+  // is bit-identical for any width (see parallel_for's contract); the
   // reduction below runs sequentially in candidate order, reproducing the
-  // sequential loop's earliest-minimum selection exactly. A pool of size 1
-  // runs the loop inline on this thread.
+  // sequential loop's earliest-minimum selection exactly. Width 1 runs the
+  // loop inline on this thread.
   std::vector<std::optional<Evaluation>> results(n);
   if (seed_index != n) {
     results[seed_index] = std::move(seed_eval);
     skip[seed_index] = 1;  // Already evaluated; not pruned.
   }
-  ThreadPool pool(options_.search_threads);
-  pool.parallel_for(n, [&](std::size_t i) {
-    if (!skip[i]) {
-      results[i] = evaluate(combos[i].S, combos[i].M, combos[i].D,
-                            combos[i].V, combo_cache[i]);
-    }
-  });
+  plan.search.threads = parallel_for(
+      n,
+      [&](std::size_t i) {
+        if (!skip[i]) {
+          results[i] = evaluate(combos[i].S, combos[i].M, combos[i].D,
+                                combos[i].V, combo_cache[i]);
+        }
+      },
+      options_.search_threads);
 
   std::optional<Evaluation> best;
   double partition_ms = 0.0;
@@ -395,7 +397,6 @@ Plan Planner::plan() const {
   }
   DPIPE_ENSURE(best.has_value(), "no feasible (S, M, D) configuration found");
 
-  plan.search.threads = pool.size();
   plan.search.combos_total = static_cast<int>(n);
   plan.search.vstage_axis =
       static_cast<int>(options_.vstage_candidates.size());

@@ -23,10 +23,10 @@ struct PlannerOptions {
   bool enable_fill = true;     ///< Ablation: pipeline bubble filling (§6.3).
   bool enable_partial = true;  ///< Ablation: partial-batch layers (§6.3).
   bool check_memory = true;    ///< Skip configurations that exceed HBM.
-  /// Host threads for the (S, M, D) grid search; 0 = the DPIPE_THREADS
-  /// environment variable, else all hardware threads; 1 = a plain loop on
-  /// the calling thread. The selected plan and explored list are
-  /// bit-identical for every value.
+  /// Cap on the (S, M, D, V) grid search's width on the process pool;
+  /// 0 = the whole pool (pool_width()); 1 = a plain loop on the calling
+  /// thread. The selected plan and explored list are bit-identical for
+  /// every value.
   int search_threads = 0;
   /// Schedule family of the candidate plans. k1F1B (the default) is the
   /// paper's single-backbone schedule; kInterleaved searches the virtual-
@@ -85,7 +85,7 @@ struct PlanConfig {
 /// Instrumentation of the (S, M, D) grid search. Wall times are summed
 /// across search threads, so they can exceed search_wall_ms.
 struct PlanSearchStats {
-  int threads = 0;           ///< Execution width actually used.
+  int threads = 0;           ///< Width the search ran at (1: inline).
   int combos_total = 0;      ///< Grid points enumerated.
   int vstage_axis = 1;       ///< V-axis size (vstage candidate count).
   int combos_evaluated = 0;  ///< evaluate() calls performed.

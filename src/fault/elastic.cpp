@@ -45,8 +45,6 @@ ElasticRecoveryController::ElasticRecoveryController(
   DPIPE_REQUIRE(options_.config.checkpoint_interval >= 1,
                 "elastic recovery requires checkpoint_interval >= 1 (it "
                 "defines the restart baseline)");
-  DPIPE_REQUIRE(options_.search_threads >= 0,
-                "search threads must be non-negative");
   int prev_iteration = -1;
   for (const ElasticCrash& crash : options_.crashes) {
     DPIPE_REQUIRE(crash.iteration > prev_iteration,
@@ -65,7 +63,6 @@ Plan ElasticRecoveryController::plan_for_world(int world) {
 
   PlannerOptions popts;
   popts.global_batch = options_.config.global_batch;
-  popts.search_threads = options_.search_threads;
   // Only runtime-bindable shapes: one device per stage and whole-sample
   // micro-batches (the functional runtime slices real tensor rows).
   popts.require_bindable_placement = true;

@@ -32,7 +32,6 @@ struct ElasticOptions {
   /// Program for the initial geometry (e.g. a loaded .dpipe file);
   /// unset = self-lower from `config` like PipelineTrainer does.
   std::optional<InstructionProgram> initial_program;
-  int search_threads = 1;  ///< Re-plan grid-search threads.
 };
 
 /// Recovery counters across one run() — the `dpipe_run --elastic` output.

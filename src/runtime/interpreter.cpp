@@ -10,13 +10,13 @@
 #include <utility>
 
 #include "cluster/comm_model.h"
+#include "common/parallel.h"
 #include "core/fill/filler.h"
 #include "core/instr/validate.h"
 #include "core/partition/partitioner.h"
 #include "core/schedule/schedule.h"
 #include "profiler/cost_model.h"
 #include "profiler/profile_db.h"
-#include "runtime/intraop.h"
 #include "runtime/kernels.h"
 #include "runtime/pool.h"
 
@@ -85,7 +85,7 @@ std::atomic<WaveExec> g_wave_exec{WaveExec::kAuto};
 
 /// The driver of one wave whose largest task is estimated at
 /// `max_task_flops`: the set_wave_exec override when one is set, else
-/// kAuto's rule over the intra-op pool width (kThreads under
+/// kAuto's rule over the process pool width (kThreads under
 /// ThreadSanitizer).
 [[nodiscard]] WaveExec wave_driver(double max_task_flops) {
   const WaveExec forced = wave_exec();
@@ -113,7 +113,7 @@ enum class TaskStatus { kBlocked, kDone };
 /// it and releases it, so a blocked task holds no thread and a per-task
 /// state (idle / running / done) gives it one runner at a time. W is 1
 /// under kSerial and min(#tasks, pool width) under kThreads. The workers
-/// run as one batch on the intra-op pool (W = 1: inline on the caller,
+/// run as one batch on the process pool (W = 1: inline on the caller,
 /// the historical round-robin); pool threads are in_parallel_region(), so
 /// kernels inside a pooled wave run inline instead of fanning out again.
 /// A busy or nested pool runs worker 0 inline, which finishes every task
@@ -131,18 +131,15 @@ template <typename Task, typename Abort>
   std::atomic<std::size_t> remaining{n};
   std::atomic<std::uint64_t> epoch{0};  ///< Bumped on every task progress.
   std::atomic<bool> deadlocked{false};
-  const int width =
-      wave_driver(max_task_flops) == WaveExec::kThreads
-          ? static_cast<int>(std::min<std::size_t>(
-                n, static_cast<std::size_t>(kernel_threads())))
-          : 1;
-  detail::intraop_for_each_worker(width, [&](int worker) {
+  const std::size_t workers =
+      wave_driver(max_task_flops) == WaveExec::kThreads ? n : 1;
+  parallel_for(workers, [&](std::size_t worker) {
     while (remaining.load() > 0 && !deadlocked.load()) {
       const std::uint64_t epoch_before = epoch.load();
       bool polled_all = true;
       bool progressed = false;
       for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t t = (i + static_cast<std::size_t>(worker)) % n;
+        const std::size_t t = (i + worker) % n;
         std::uint8_t claim = kIdle;
         if (!state[t].compare_exchange_strong(claim, kRunning)) {
           polled_all = polled_all && claim == kDone;

@@ -16,8 +16,8 @@ namespace dpipe::rt {
 /// channel pop or allreduce barrier would block, then yields; one
 /// cooperative loop drives them with W workers (DESIGN.md §13). kSerial is
 /// W = 1, a round-robin on the calling thread whose kernels may fan out
-/// over the intra-op pool. kThreads runs W = min(#tasks, pool width)
-/// workers as one batch on the intra-op pool's persistent threads, whose
+/// over the process pool. kThreads runs W = min(#tasks, pool width)
+/// workers as one batch on the process pool's persistent threads, whose
 /// kernels then run inline — one level of parallelism at a time. Because
 /// every value is a pure function of the inputs (see ProgramInterpreter),
 /// every W is bit-identical. kAuto picks per wave from the wave's own work
@@ -39,8 +39,8 @@ namespace detail {
 /// task, measured on a 4-core AVX2 host (DESIGN.md §13).
 inline constexpr double kThreadedWaveMinTaskFlops = 1e6;
 
-/// kAuto's rule: kThreads when the intra-op pool (kernel_threads(), which
-/// honours DPIPE_THREADS and set_kernel_threads) is wider than one thread
+/// kAuto's rule: kThreads when the process pool (kernel_threads(), which
+/// honours DPIPE_THREADS and set_pool_width) is wider than one thread
 /// and the wave's largest task is estimated at kThreadedWaveMinTaskFlops
 /// or more, else kSerial.
 [[nodiscard]] WaveExec select_wave_exec(double max_task_flops,

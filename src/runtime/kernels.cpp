@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <cstring>
 
+#include "common/parallel.h"
 #include "runtime/eltwise_impl.h"
 #include "runtime/intraop.h"
 #include "runtime/kernels_impl.h"
@@ -293,7 +294,7 @@ void pack_a_chunk(float* packed, const float* a, std::ptrdiff_t ars,
 
 /// Shared driver for all three transpose variants: a(i, p) is addressed via
 /// the two strides, b is packed (transposing if b_transposed), and the 2-D
-/// task grid fans out over the intra-op pool. `ep` (nullable) is the fused
+/// task grid fans out over the process pool. `ep` (nullable) is the fused
 /// bias/activation epilogue, applied per output region as it finishes.
 void packed_matmul(Tensor& out, const float* a, std::ptrdiff_t a_row_stride,
                    std::ptrdiff_t a_col_stride, const float* b,
@@ -465,11 +466,7 @@ void set_kernel_mode(KernelMode mode) {
   g_mode.store(mode, std::memory_order_relaxed);
 }
 
-int kernel_threads() { return detail::intraop_pool_width(); }
-
-void set_kernel_threads(int num_threads) {
-  detail::set_intraop_pool_width(num_threads);
-}
+int kernel_threads() { return pool_width(); }
 
 void matmul_into(Tensor& out, const Tensor& a, const Tensor& b,
                  KernelMode mode, const MatmulEpilogue& epilogue) {

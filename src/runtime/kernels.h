@@ -19,7 +19,7 @@ enum class KernelMode {
   kNaive,    ///< Bounds-checked triple loop (the test reference).
   kBlocked,  ///< Packed SIMD microkernels; large problems fan out as a 2-D
              ///< (row-block x panel-group) task grid over the intra-op
-             ///< pool (set_kernel_threads(1) runs single-threaded).
+             ///< process pool (set_pool_width(1) runs single-threaded).
 };
 
 [[nodiscard]] const char* kernel_mode_name(KernelMode mode);
@@ -28,15 +28,12 @@ enum class KernelMode {
 [[nodiscard]] KernelMode kernel_mode();
 void set_kernel_mode(KernelMode mode);
 
-/// Width of the intra-op worker pool, which also runs the interpreter's
-/// pooled waves (W <= this width). The pool is created lazily from
-/// default_thread_count() (DPIPE_THREADS, else the CPUs the process may
-/// run on); set_kernel_threads(n) rebuilds it with n threads (n <= 0
-/// restores the default). Results never depend on this value — the task
+/// Width of the process pool (pool_width() in common/parallel.h) that the
+/// kernels fan out over and the interpreter's pooled waves run on (W <=
+/// this width). Results never depend on this value — the task
 /// decomposition is fixed and every output element is computed whole by
 /// one task — only wall time does.
 [[nodiscard]] int kernel_threads();
-void set_kernel_threads(int num_threads);
 
 // Out-parameter matmuls: `out` must already have the result shape and must
 // not alias an input. Every element of `out` is overwritten (recycled pool

@@ -1,9 +1,6 @@
 #include "service/service.h"
 
-#include <algorithm>
-
 #include "common/error.h"
-#include "common/parallel.h"
 #include "core/instr/serialize.h"
 #include "core/instr/validate.h"
 #include "core/planner/planner.h"
@@ -28,7 +25,6 @@ PlanService::PlanService(PlanServiceOptions options)
 std::shared_ptr<const CachedPlan> PlanService::compute_plan(
     const PlanRequest& request, const std::string& request_text) {
   PlannerOptions popts = request.options;
-  popts.search_threads = options_.planner_threads;
   popts.cache_store = &stage_costs_;
   const Planner planner(request.model, request.cluster, popts);
   const Plan plan = planner.plan();
@@ -66,23 +62,6 @@ std::shared_ptr<const CachedPlan> PlanService::plan(const PlanRequest& request,
         return compute_plan(request, request_text);
       },
       cache_hit);
-}
-
-std::vector<std::shared_ptr<const CachedPlan>> PlanService::plan_all(
-    const std::vector<PlanRequest>& requests, int threads) {
-  std::vector<std::shared_ptr<const CachedPlan>> results(requests.size());
-  if (requests.empty()) {
-    return results;
-  }
-  if (threads <= 0) {
-    threads = static_cast<int>(std::min<std::size_t>(
-        requests.size(), static_cast<std::size_t>(default_thread_count())));
-  }
-  ThreadPool pool(threads);
-  pool.parallel_for(requests.size(), [&](std::size_t i) {
-    results[i] = plan(requests[i]);
-  });
-  return results;
 }
 
 PlanService::InvalidationReport PlanService::invalidate_cluster(

@@ -21,9 +21,6 @@ struct PlanServiceOptions {
   /// Directory for the versioned on-disk plan store. Empty = in-memory
   /// only (no persistence, cold start on restart).
   std::string store_dir;
-  /// search_threads applied to every cold plan (0 = planner default:
-  /// DPIPE_THREADS, else hardware threads).
-  int planner_threads = 0;
 };
 
 /// The multi-tenant planning service: accepts concurrent plan requests,
@@ -57,11 +54,6 @@ class PlanService {
   /// identical concurrent requests deduplicate to one planner run.
   [[nodiscard]] std::shared_ptr<const CachedPlan> plan(
       const PlanRequest& request, bool* cache_hit = nullptr);
-
-  /// Plans a batch concurrently on `threads` host threads (0 = one thread
-  /// per request, capped by hardware). Order of results matches the input.
-  [[nodiscard]] std::vector<std::shared_ptr<const CachedPlan>> plan_all(
-      const std::vector<PlanRequest>& requests, int threads = 0);
 
   /// The cluster changed shape: every cached and persisted plan for its old
   /// fingerprint is stale. Evicts from the cache, deletes from the store,

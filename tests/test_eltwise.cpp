@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/parallel.h"
 #include "runtime/eltwise.h"
 #include "runtime/kernels.h"
 #include "runtime/modules.h"
@@ -27,7 +28,7 @@ struct SimdStateGuard {
   SimdLevel level = simd_level();
   ~SimdStateGuard() {
     set_kernel_mode(mode);
-    set_kernel_threads(0);
+    set_pool_width(0);
     set_simd_level(level);
   }
 };
@@ -204,18 +205,18 @@ TEST(EltwiseParity, RowOpsBitExactAcrossLevels) {
 
 TEST(EltwiseParity, ThreadCountNeverChangesBits) {
   SimdStateGuard guard;
-  // Big enough to clear the intra-op cost threshold (1 MiB of traffic), so
+  // Big enough to clear the fan-out cost threshold (1 MiB of traffic), so
   // the fan-out genuinely engages when the pool has width.
   const int n = 300000;
   const Tensor x = make_input(n, 99);
   const Tensor g = make_input(n, 101);
   for (const int threads : {1, 2, 5}) {
-    set_kernel_threads(threads);
+    set_pool_width(threads);
     Tensor out({1, n});
     silu_into(out, x);
     Tensor bwd({1, n});
     silu_backward_into(bwd, x, g);
-    set_kernel_threads(1);
+    set_pool_width(1);
     Tensor ref({1, n});
     silu_into(ref, x);
     Tensor ref_bwd({1, n});
@@ -310,7 +311,7 @@ TEST(EltwiseSlim, SmallShapesBitExactAcrossAllModes) {
       for (const int threads : {1, 4}) {
         SCOPED_TRACE(::testing::Message()
                      << simd_level_name(level) << "/threads=" << threads);
-        set_kernel_threads(threads);
+        set_pool_width(threads);
         Tensor out({s[0], s[2]});
         matmul_into(out, a, b_nn, KernelMode::kBlocked);
         expect_bit_equal(ref, out);
@@ -342,7 +343,7 @@ TEST(EltwiseEpilogue, FusedBiasSiluMatchesUnfusedBitExact) {
     for (const SimdLevel level : levels) {
       set_simd_level(level);
       for (const int threads : {1, 4}) {
-        set_kernel_threads(threads);
+        set_pool_width(threads);
         for (const KernelMode mode :
              {KernelMode::kNaive, KernelMode::kBlocked}) {
           SCOPED_TRACE(::testing::Message()

@@ -17,11 +17,11 @@
 #include <thread>
 #include <vector>
 
+#include "common/parallel.h"
 #include "core/instr/validate.h"
 #include "engine/engine.h"
 #include "runtime/dp_trainer.h"
 #include "runtime/interpreter.h"
-#include "runtime/intraop.h"
 #include "runtime/kernels.h"
 #include "runtime/pipeline_exec.h"
 
@@ -187,12 +187,12 @@ TEST(Interpreter, CrossIterationBitExactWithAdam) {
   }
 }
 
-/// Restores the default wave-executor selection and intra-op pool width on
+/// Restores the default wave-executor selection and process pool width on
 /// scope exit.
 struct WaveExecGuard {
   ~WaveExecGuard() {
     set_wave_exec(WaveExec::kAuto);
-    set_kernel_threads(0);
+    set_pool_width(0);
   }
 };
 
@@ -220,14 +220,14 @@ void expect_same_run(const PipelineTrainer& a, const PipelineTrainer& b) {
 
 /// Trains `cfg` once on the serial driver and once on the pooled driver
 /// for every wave width W in {1, 2, 4, num_tasks} (pinned through the
-/// intra-op pool width) and requires every run to match the serial one.
+/// process pool width) and requires every run to match the serial one.
 void expect_every_width_matches_serial(const DdpmProblem& problem,
                                        const PipelineRtConfig& cfg,
                                        const InstructionProgram* program,
                                        int iterations, int num_tasks) {
   const WaveExecGuard guard;
   const auto train = [&](WaveExec exec, int pool_width) {
-    set_kernel_threads(pool_width);
+    set_pool_width(pool_width);
     set_wave_exec(exec);
     EXPECT_EQ(wave_exec(), exec);
     auto trainer = make_trainer(problem, cfg, program);
@@ -319,12 +319,12 @@ TEST(Interpreter, WaveExecSerialMatchesThreadedBitExact) {
 }
 
 TEST(Interpreter, PooledWaveFallsBackInlineWhenPoolBusy) {
-  // Another thread holds an intra-op batch for the whole run, so the
+  // Another thread holds a process-pool batch for the whole run, so the
   // pooled wave cannot get the pool: its worker 0 must finish every task
   // inline on the caller, bit-identical to the serial driver.
   const WideProgram wide;
   const WaveExecGuard guard;
-  set_kernel_threads(4);
+  set_pool_width(4);
   set_wave_exec(WaveExec::kSerial);
   const auto serial = wide.trainer(wide.cfg);
   serial->train(3);
@@ -334,7 +334,7 @@ TEST(Interpreter, PooledWaveFallsBackInlineWhenPoolBusy) {
   std::atomic<bool> held{false};
   std::atomic<bool> release{false};
   std::thread holder([&] {
-    detail::intraop_for_each_worker(2, [&](int worker) {
+    parallel_for(2, [&](std::size_t worker) {
       if (worker == 0) {
         held.store(true);
         while (!release.load()) {
@@ -353,7 +353,7 @@ TEST(Interpreter, PooledWaveFallsBackInlineWhenPoolBusy) {
 }
 
 TEST(Interpreter, PooledWaveCreatesNoThreads) {
-  // The pooled driver runs on the intra-op pool's persistent workers: the
+  // The pooled driver runs on the process pool's persistent workers: the
   // process's thread count never rises while a pooled trainer runs.
   namespace fs = std::filesystem;
   const fs::path tasks_dir = "/proc/self/task";
@@ -367,7 +367,7 @@ TEST(Interpreter, PooledWaveCreatesNoThreads) {
   };
   const WideProgram wide;
   const WaveExecGuard guard;
-  set_kernel_threads(4);
+  set_pool_width(4);
   set_wave_exec(WaveExec::kThreads);
   auto trainer = wide.trainer(wide.cfg);
   trainer->train(1);  // Warm-up: the pool exists from here on.
@@ -394,7 +394,7 @@ TEST(PipelineTrainer, PooledWaveFailureUnwindsAndRestoresBitExactly) {
   // bit for bit.
   const WideProgram wide;
   const WaveExecGuard guard;
-  set_kernel_threads(WideProgram::kTasks);
+  set_pool_width(WideProgram::kTasks);
   set_wave_exec(WaveExec::kThreads);
   const int total_iterations = 6;
   PipelineRtConfig cfg = wide.cfg;
@@ -424,14 +424,14 @@ TEST(PipelineTrainer, PooledWaveFailureUnwindsAndRestoresBitExactly) {
 
 TEST(Interpreter, AutoWaveExecPicksDriverFromTaskWork) {
   // kAuto pools a wave only when its largest task clears the measured
-  // crossover and the intra-op pool has a second thread to run it on.
+  // crossover and the process pool has a second thread to run it on.
   const double k = detail::kThreadedWaveMinTaskFlops;
   EXPECT_EQ(detail::select_wave_exec(0.0, 4), WaveExec::kSerial);
   EXPECT_EQ(detail::select_wave_exec(std::nextafter(k, 0.0), 4),
             WaveExec::kSerial);
   EXPECT_EQ(detail::select_wave_exec(k, 4), WaveExec::kThreads);
   EXPECT_EQ(detail::select_wave_exec(1e12, 2), WaveExec::kThreads);
-  // A one-thread pool (DPIPE_THREADS=1, set_kernel_threads(1), or a
+  // A one-thread pool (DPIPE_THREADS=1, set_pool_width(1), or a
   // process pinned to one core) has nowhere to run a second worker.
   for (const int width : {0, 1}) {
     EXPECT_EQ(detail::select_wave_exec(1e12, width), WaveExec::kSerial)

@@ -517,10 +517,23 @@ TEST(PlanService, ConcurrentMixedBatchMatchesSequentialBitForBit) {
   const std::vector<PlanRequest> requests = {
       small_request(128.0), small_request(256.0), small_request(128.0),
       small_request(256.0)};
+  // One caller thread per request, as the server's connection threads
+  // call plan(); they share the process pool with each other.
   PlanService concurrent_service;
-  const auto concurrent = concurrent_service.plan_all(requests, 4);
+  std::vector<std::shared_ptr<const CachedPlan>> concurrent(requests.size());
+  std::vector<std::thread> callers;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    callers.emplace_back(
+        [&, i] { concurrent[i] = concurrent_service.plan(requests[i]); });
+  }
+  for (std::thread& caller : callers) {
+    caller.join();
+  }
   PlanService sequential_service;
-  const auto sequential = sequential_service.plan_all(requests, 1);
+  std::vector<std::shared_ptr<const CachedPlan>> sequential;
+  for (const PlanRequest& request : requests) {
+    sequential.push_back(sequential_service.plan(request));
+  }
   ASSERT_EQ(concurrent.size(), requests.size());
   // Two distinct requests, each planned exactly once per service.
   EXPECT_EQ(concurrent_service.stats().planner_runs, 2u);

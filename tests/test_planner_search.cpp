@@ -3,7 +3,10 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <mutex>
 #include <numeric>
+#include <set>
+#include <thread>
 #include <vector>
 
 #include "common/parallel.h"
@@ -17,50 +20,79 @@
 namespace dpipe {
 namespace {
 
-// --- ThreadPool -------------------------------------------------------------
+// --- The process pool ------------------------------------------------------
+
+/// Pins the process pool's width for one test and restores the default.
+struct PoolWidthGuard {
+  explicit PoolWidthGuard(int width) { set_pool_width(width); }
+  ~PoolWidthGuard() { set_pool_width(0); }
+  PoolWidthGuard(const PoolWidthGuard&) = delete;
+  PoolWidthGuard& operator=(const PoolWidthGuard&) = delete;
+};
 
 TEST(ParallelFor, CoversAllIndicesExactlyOnce) {
-  ThreadPool pool(4);
+  const PoolWidthGuard pool(4);
   const std::size_t n = 4096;
   std::vector<int> visits(n, 0);
   std::atomic<std::size_t> calls{0};
-  pool.parallel_for(n, [&](std::size_t i) {
+  const int width = parallel_for(n, [&](std::size_t i) {
     ++visits[i];
     calls.fetch_add(1, std::memory_order_relaxed);
   });
+  EXPECT_EQ(width, 4);
   EXPECT_EQ(calls.load(), n);
   for (std::size_t i = 0; i < n; ++i) {
     ASSERT_EQ(visits[i], 1) << "index " << i;
   }
 }
 
-TEST(ParallelFor, SingleThreadPoolRunsInline) {
-  ThreadPool pool(1);
-  EXPECT_EQ(pool.size(), 1);
+/// Runs a 16-index parallel_for with cap `max_width` and requires it to run
+/// inline: width 1, every index on the calling thread, in order.
+void expect_runs_inline(int max_width) {
+  const std::thread::id caller = std::this_thread::get_id();
   std::vector<std::size_t> order;
-  pool.parallel_for(16, [&](std::size_t i) { order.push_back(i); });
-  // No workers: the caller runs every index, in order.
+  bool on_caller = true;
+  EXPECT_EQ(parallel_for(
+                16,
+                [&](std::size_t i) {
+                  order.push_back(i);
+                  on_caller = on_caller && std::this_thread::get_id() == caller;
+                },
+                max_width),
+            1);
+  EXPECT_TRUE(on_caller);
+  ASSERT_EQ(order.size(), 16u);
   for (std::size_t i = 0; i < order.size(); ++i) {
     EXPECT_EQ(order[i], i);
   }
 }
 
+TEST(ParallelFor, SingleThreadPoolRunsInline) {
+  {
+    const PoolWidthGuard pool(1);
+    EXPECT_EQ(pool_width(), 1);
+    expect_runs_inline(0);  // No workers: the caller runs every index.
+  }
+  const PoolWidthGuard pool(4);
+  expect_runs_inline(1);  // A width cap of 1 never touches the pool.
+}
+
 TEST(ParallelFor, HandlesEmptyAndTinyBatches) {
-  ThreadPool pool(8);
+  const PoolWidthGuard pool(8);
   int ran = 0;
-  pool.parallel_for(0, [&](std::size_t) { ++ran; });
+  EXPECT_EQ(parallel_for(0, [&](std::size_t) { ++ran; }), 1);
   EXPECT_EQ(ran, 0);
-  // Fewer items than threads.
+  // Fewer items than threads: one thread per item.
   std::vector<int> visits(3, 0);
-  pool.parallel_for(3, [&](std::size_t i) { ++visits[i]; });
+  EXPECT_EQ(parallel_for(3, [&](std::size_t i) { ++visits[i]; }), 3);
   EXPECT_EQ(std::accumulate(visits.begin(), visits.end(), 0), 3);
 }
 
 TEST(ParallelFor, ReusableAcrossBatches) {
-  ThreadPool pool(3);
+  const PoolWidthGuard pool(3);
   for (int round = 0; round < 50; ++round) {
     std::vector<int> out(round + 1, 0);
-    pool.parallel_for(out.size(), [&](std::size_t i) {
+    parallel_for(out.size(), [&](std::size_t i) {
       out[i] = static_cast<int>(i) + round;
     });
     for (std::size_t i = 0; i < out.size(); ++i) {
@@ -70,18 +102,94 @@ TEST(ParallelFor, ReusableAcrossBatches) {
 }
 
 TEST(ParallelFor, PropagatesFirstExceptionAndStaysUsable) {
-  ThreadPool pool(4);
-  EXPECT_THROW(pool.parallel_for(100,
-                                 [&](std::size_t i) {
-                                   if (i == 13) {
-                                     throw std::runtime_error("boom");
-                                   }
-                                 }),
+  const PoolWidthGuard pool(4);
+  EXPECT_THROW(parallel_for(100,
+                            [&](std::size_t i) {
+                              if (i == 13) {
+                                throw std::runtime_error("boom");
+                              }
+                            }),
                std::runtime_error);
   // The pool must survive a throwing batch.
   std::atomic<int> ran{0};
-  pool.parallel_for(32, [&](std::size_t) { ++ran; });
+  EXPECT_EQ(parallel_for(32, [&](std::size_t) { ++ran; }), 4);
   EXPECT_EQ(ran.load(), 32);
+}
+
+TEST(ParallelFor, WidthCapLimitsParticipatingThreads) {
+  const PoolWidthGuard pool(4);
+  for (const int cap : {2, 3}) {
+    std::mutex mutex;
+    std::set<std::thread::id> threads;
+    std::atomic<int> ran{0};
+    EXPECT_EQ(parallel_for(
+                  256,
+                  [&](std::size_t) {
+                    {
+                      const std::lock_guard<std::mutex> lock(mutex);
+                      threads.insert(std::this_thread::get_id());
+                    }
+                    ++ran;
+                  },
+                  cap),
+              cap);
+    EXPECT_EQ(ran.load(), 256);
+    EXPECT_LE(static_cast<int>(threads.size()), cap);
+  }
+  // Caps at or above the pool's width (and 0, no cap) take the whole pool.
+  for (const int cap : {0, 4, 9}) {
+    EXPECT_EQ(parallel_for(8, [](std::size_t) {}, cap), 4) << cap;
+  }
+}
+
+TEST(ParallelFor, NestedCallsRunInline) {
+  const PoolWidthGuard pool(4);
+  std::vector<int> nested_ok(8, 0);
+  parallel_for(nested_ok.size(), [&](std::size_t i) {
+    EXPECT_TRUE(in_parallel_region());
+    const std::thread::id self = std::this_thread::get_id();
+    std::vector<std::size_t> order;
+    bool on_self = true;
+    const int width = parallel_for(16, [&](std::size_t j) {
+      order.push_back(j);
+      on_self = on_self && std::this_thread::get_id() == self;
+    });
+    bool in_order = order.size() == 16;
+    for (std::size_t j = 0; in_order && j < order.size(); ++j) {
+      in_order = order[j] == j;
+    }
+    nested_ok[i] = width == 1 && on_self && in_order ? 1 : 0;
+  });
+  for (std::size_t i = 0; i < nested_ok.size(); ++i) {
+    EXPECT_EQ(nested_ok[i], 1) << i;
+  }
+  EXPECT_FALSE(in_parallel_region());
+}
+
+TEST(ParallelFor, BusyPoolRunsInlineOnTheCaller) {
+  // Another thread holds a batch: a second caller must not wait for the
+  // pool, it runs its own indices inline.
+  const PoolWidthGuard pool(4);
+  std::atomic<bool> held{false};
+  std::atomic<bool> release{false};
+  std::thread holder([&] {
+    parallel_for(2, [&](std::size_t i) {
+      if (i == 0) {
+        held.store(true);
+        while (!release.load()) {
+          std::this_thread::yield();
+        }
+      }
+    });
+  });
+  while (!held.load()) {
+    std::this_thread::yield();
+  }
+  expect_runs_inline(0);
+  release.store(true);
+  holder.join();
+  // Released, the pool takes batches again.
+  EXPECT_EQ(parallel_for(8, [](std::size_t) {}), 4);
 }
 
 TEST(ParallelFor, DefaultThreadCountReadsEnvironment) {
@@ -352,6 +460,7 @@ void expect_plans_identical(const Plan& a, const Plan& b) {
 }
 
 TEST(PlannerSearch, BitIdenticalAcrossThreadCounts) {
+  const PoolWidthGuard pool(4);
   const ModelDesc model = make_stable_diffusion_v21();
   const Plan seq = plan_with(model, 1, false);
   const Plan two = plan_with(model, 2, false);
@@ -429,12 +538,27 @@ TEST(PlannerSearch, PruningKeepsWinnerAndProgramExact) {
 TEST(PlannerSearch, DefaultSearchUsesEveryPoolThread) {
   // The default search fans every grid out over the whole pool, small
   // single-backbone grids included, and still selects the sequential plan.
-  const int width = ThreadPool(0).size();
+  const int width = pool_width();
   for (const ModelDesc& model : {make_stable_diffusion_v21(), make_cdm_lsun()}) {
     const Plan fanned = plan_with(model, 0, false);
     EXPECT_EQ(fanned.search.threads, width);
     expect_plans_identical(fanned, plan_with(model, 1, false));
   }
+}
+
+TEST(PlannerSearch, PlanInsidePoolBatchRunsInline) {
+  // A plan started from inside a pool batch cannot fan out again: its grid
+  // runs inline on that thread and still selects the sequential plan.
+  const PoolWidthGuard pool(4);
+  const ModelDesc model = make_stable_diffusion_v21();
+  Plan nested;
+  parallel_for(2, [&](std::size_t i) {
+    if (i == 0) {
+      nested = plan_with(model, 0, false);
+    }
+  });
+  EXPECT_EQ(nested.search.threads, 1);
+  expect_plans_identical(nested, plan_with(model, 1, false));
 }
 
 TEST(PlannerSearch, StageCostStoreMakesSecondPlanFullyWarm) {

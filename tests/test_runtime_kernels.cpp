@@ -25,7 +25,7 @@ struct KernelStateGuard {
   KernelMode mode = kernel_mode();
   ~KernelStateGuard() {
     set_kernel_mode(mode);
-    set_kernel_threads(0);
+    set_pool_width(0);
   }
 };
 
@@ -62,7 +62,7 @@ void check_parity(int m, int k, int n) {
 
   for (const int threads : {1, 4, 0}) {  // 0 = DPIPE_THREADS / hardware.
     SCOPED_TRACE(::testing::Message() << "threads=" << threads);
-    set_kernel_threads(threads);
+    set_pool_width(threads);
     Tensor out_nn({m, n});
     Tensor out_tn({k, n});
     Tensor out_nt({m, n});
@@ -143,7 +143,7 @@ TEST(Kernels, ConcurrentCallersBitExactUnderContention) {
   // their turn (transient contention). Results must be bit-identical to
   // the single-threaded reference either way. Runs under TSan in tier-1.
   KernelStateGuard guard;
-  set_kernel_threads(4);
+  set_pool_width(4);
   constexpr int kDim = 96;  // 2*96^3 FLOPs: above the parallel threshold.
   Rng rng(41);
   const Tensor a = rng.randn({kDim, kDim});
@@ -174,28 +174,31 @@ TEST(Kernels, ConcurrentCallersBitExactUnderContention) {
 }
 
 TEST(Kernels, NestedInsideParallelForRunsInlineWithoutDeadlock) {
-  // A kernel called from inside any ThreadPool batch must take the inline
-  // path (in_parallel_region) — blocking on the kernel pool there could
-  // deadlock the pool on itself.
+  // A kernel called from inside a process-pool batch must take the inline
+  // path (in_parallel_region) — blocking on the pool there could deadlock
+  // the pool on itself.
   KernelStateGuard guard;
-  set_kernel_threads(4);
+  set_pool_width(4);
   Rng rng(43);
   const Tensor a = rng.randn({96, 96});
   const Tensor b = rng.randn({96, 96});
   Tensor ref({96, 96});
   matmul_into(ref, a, b, KernelMode::kNaive);
-  ThreadPool outer(3);
   std::vector<int> ok(6, 0);
-  outer.parallel_for(ok.size(), [&](std::size_t i) {
-    EXPECT_TRUE(in_parallel_region());
-    Tensor out({96, 96});
-    matmul_into(out, a, b, KernelMode::kBlocked);
-    ok[i] = std::memcmp(ref.data(), out.data(),
-                        static_cast<std::size_t>(ref.numel()) *
-                            sizeof(float)) == 0
-                ? 1
-                : 0;
-  });
+  const int outer_width = parallel_for(
+      ok.size(),
+      [&](std::size_t i) {
+        EXPECT_TRUE(in_parallel_region());
+        Tensor out({96, 96});
+        matmul_into(out, a, b, KernelMode::kBlocked);
+        ok[i] = std::memcmp(ref.data(), out.data(),
+                            static_cast<std::size_t>(ref.numel()) *
+                                sizeof(float)) == 0
+                    ? 1
+                    : 0;
+      },
+      3);
+  EXPECT_EQ(outer_width, 3);
   for (const int v : ok) {
     EXPECT_EQ(v, 1);
   }
@@ -328,7 +331,7 @@ float params_diff(const std::vector<Tensor>& a,
 /// part, data parallelism) under an explicit kernel mode and pool width.
 TrajectoryRun run_pipeline(KernelMode mode, int threads, bool use_adam) {
   set_kernel_mode(mode);
-  set_kernel_threads(threads);
+  set_pool_width(threads);
   DdpmConfig dc;
   dc.self_conditioning = true;
   dc.self_cond_prob = 0.5;
@@ -377,7 +380,7 @@ TEST(Trajectory, ReferenceTrainerBitExactAcrossModes) {
   const DdpmProblem problem(DdpmConfig{});
   auto run = [&](KernelMode mode, int threads) {
     set_kernel_mode(mode);
-    set_kernel_threads(threads);
+    set_pool_width(threads);
     ReferenceTrainer trainer(problem, 16, 0.1f);
     trainer.train(10);
     return TrajectoryRun{trainer.losses(), trainer.snapshot_params()};

@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/parallel.h"
 #include "runtime/kernels.h"
 #include "runtime/pipeline_exec.h"
 #include "runtime/simd.h"
@@ -22,7 +23,7 @@ struct SimdStateGuard {
   SimdLevel level = simd_level();
   ~SimdStateGuard() {
     set_kernel_mode(mode);
-    set_kernel_threads(0);
+    set_pool_width(0);
     set_simd_level(level);
   }
 };
@@ -115,7 +116,7 @@ TEST(SimdParity, ScalarVsAvx2BitExactAcrossModesAndThreads) {
     SCOPED_TRACE(::testing::Message()
                  << "m=" << s[0] << " k=" << s[1] << " n=" << s[2]);
     for (const int threads : {1, 4}) {
-      set_kernel_threads(threads);
+      set_pool_width(threads);
       set_simd_level(SimdLevel::kScalar);
       const OpOutputs scalar = run_ops(s[0], s[1], s[2], KernelMode::kBlocked);
       set_simd_level(SimdLevel::kAvx2);
@@ -152,7 +153,7 @@ std::pair<std::vector<double>, std::vector<Tensor>> run_pipeline(
     SimdLevel level) {
   set_simd_level(level);
   set_kernel_mode(KernelMode::kBlocked);
-  set_kernel_threads(0);
+  set_pool_width(0);
   DdpmConfig dc;
   dc.self_conditioning = true;
   dc.self_cond_prob = 0.5;

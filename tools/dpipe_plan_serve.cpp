@@ -9,8 +9,12 @@
 //                                                stdin/stdout
 // options:
 //   --store <dir>        persist plans; warm-start from the directory
-//   --threads <n>        planner search threads per cold request (0 = auto)
 //   --max-requests <n>   exit after answering n requests (0 = serve forever)
+//
+// Cold plans fan their grid search out over the process pool, whose width
+// is DPIPE_THREADS or else the CPUs the server may run on (so `taskset`
+// caps it). Concurrent cold plans share it: one fans out at a time and the
+// others search inline on their connection threads.
 
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -52,10 +56,6 @@ bool parse_args(int argc, char** argv, ServerArgs* args) {
       const char* value = next();
       if (value == nullptr) return false;
       args->service.store_dir = value;
-    } else if (arg == "--threads") {
-      const char* value = next();
-      if (value == nullptr) return false;
-      args->service.planner_threads = std::atoi(value);
     } else if (arg == "--max-requests") {
       const char* value = next();
       if (value == nullptr) return false;
@@ -169,7 +169,7 @@ int main(int argc, char** argv) {
   if (!parse_args(argc, argv, &args)) {
     std::fprintf(stderr,
                  "usage: %s (--socket <path> | --stdio) [--store <dir>] "
-                 "[--threads <n>] [--max-requests <n>]\n",
+                 "[--max-requests <n>]\n",
                  argv[0]);
     return 2;
   }

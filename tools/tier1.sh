@@ -2,17 +2,20 @@
 # Tier-1 verification: the standard build + full test suite, then a
 # ThreadSanitizer build running the concurrency-sensitive runtime and fault
 # tests (program interpreter waves on the pooled driver, channel shutdown,
-# checkpoint recovery, cross-backend parity) plus the parallel planner-search
-# determinism tests (every default search fans out over the pool), the
-# kernel/pool substrate tests (row-block fan-out, concurrent TensorPool), and
-# the plan-service suites (single-flight cache, stage-cost leases, concurrent
-# request determinism), then an AddressSanitizer+UBSan build running the
-# planner, cascade-DP, stage-cost and plan-service suites plus the
-# interpreter, channel, trainer, fault and elastic suites, the check macros
-# and the program/checkpoint/profile parsers, a socket-level
-# request-storm smoke of dpipe_plan_serve, and finally the repository
-# benchmark's smoke test (dpbench/), which builds the benchmark from these
-# sources so an API it uses cannot be cut unnoticed.
+# checkpoint recovery, cross-backend parity) plus the tests of the one
+# process pool that the planner, the plan service and the runtime share
+# (parallel_for's entry protocol, planning that starts no thread), the
+# parallel planner-search determinism tests (every default search fans out
+# over that pool), the kernel/pool substrate tests (row-block fan-out,
+# concurrent TensorPool), and the plan-service suites (single-flight cache,
+# stage-cost leases, concurrent request determinism), then an
+# AddressSanitizer+UBSan build running the process-pool, planner,
+# cascade-DP, stage-cost and plan-service suites plus the interpreter,
+# channel, trainer, fault and elastic suites, the check macros and the
+# program/checkpoint/profile parsers, a socket-level request-storm smoke of
+# dpipe_plan_serve, and finally the repository benchmark's smoke test
+# (dpbench/), which builds the benchmark from these sources so an API it
+# uses cannot be cut unnoticed.
 # Run from the repository root.
 set -euo pipefail
 
@@ -34,10 +37,10 @@ echo "== tier-1: ThreadSanitizer build (runtime + fault + service tests) =="
 cmake -B build-tsan -S . -DDPIPE_SANITIZE=thread
 cmake --build build-tsan -j"$(nproc)" --target dpipe_tests
 # TSan builds resolve the automatic wave executor to the pooled driver, so
-# every wave here runs its tasks on the intra-op pool's workers with
+# every wave here runs its tasks on the process pool's workers with
 # interleavings for TSan to check.
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/dpipe_tests \
-  --gtest_filter='Channel.*:PipelineTrainer.*:Equivalence.*:Fault.*:ParallelFor.*:PlannerSearch.*:Kernels.*:TensorPool.*:Trajectory.*:RngSeed.*:SimdDispatch.*:SimdParity.*:Interpreter.*:Parity.*:Interleaved.*:Elastic.*:Reshard.*:CheckpointIo.*:PlanFingerprint.*:StageCostStore.*:PlanCache.*:PlanStore.*:PlanService.*:PlanProtocol.*:Eltwise*'
+  --gtest_filter='Channel.*:PipelineTrainer.*:Equivalence.*:Fault.*:ParallelFor.*:ProcessPool.*:PlannerSearch.*:Kernels.*:TensorPool.*:Trajectory.*:RngSeed.*:SimdDispatch.*:SimdParity.*:Interpreter.*:Parity.*:Interleaved.*:Elastic.*:Reshard.*:CheckpointIo.*:PlanFingerprint.*:StageCostStore.*:PlanCache.*:PlanStore.*:PlanService.*:PlanProtocol.*:Eltwise*'
 
 echo "== tier-1: ASan+UBSan build (planner, service, runtime + fault tests) =="
 cmake -B build-asan -S . -DDPIPE_SANITIZE=address,undefined
@@ -47,7 +50,7 @@ cmake --build build-asan -j"$(nproc)" --target dpipe_tests
 # dpipe_alloc_tests is not built here: it replaces the global operator new,
 # which the sanitizers own, so it runs only in the standard build's ctest.
 ./build-asan/tests/dpipe_tests \
-  --gtest_filter='PlannerSearch.*:Bidirectional.*:StageCostCache.*:StageCostStore.*:PlanFingerprint.*:PlanService.*:Interpreter.*:Channel.*:PipelineTrainer.*:Fault.*:Elastic.*:ErrorMacros.*:Serialize.*:CheckpointIo.*:ProfileDb.*:ProfileDbInterp.*'
+  --gtest_filter='ParallelFor.*:ProcessPool.*:PlannerSearch.*:Bidirectional.*:StageCostCache.*:StageCostStore.*:PlanFingerprint.*:PlanService.*:Interpreter.*:Channel.*:PipelineTrainer.*:Fault.*:Elastic.*:ErrorMacros.*:Serialize.*:CheckpointIo.*:ProfileDb.*:ProfileDbInterp.*'
 
 echo "== tier-1: interleaved schedule smoke =="
 # The interleaved family exercises multi-virtual-stage device timelines on
