@@ -63,16 +63,17 @@ class ThreadPool {
     return static_cast<int>(workers_.size()) + 1;
   }
 
-  /// Runs fn(ctx, i) for every i in [0, n) on the caller and at most
-  /// width - 1 workers, blocking until all are done. The first exception
-  /// thrown by fn is rethrown here (remaining indices are skipped once an
-  /// exception is recorded).
-  void run(std::size_t n, int width, IndexFn fn, void* ctx) {
+  /// Runs fn(ctx, i) for every i in [begin, n) on the caller and every
+  /// worker, blocking until all are done. The first exception thrown by fn
+  /// is rethrown here (remaining indices are skipped once an exception is
+  /// recorded).
+  void run(std::size_t begin, std::size_t n, IndexFn fn, void* ctx) {
     auto batch = std::make_shared<Batch>();
     batch->total = n;
     batch->fn = fn;
     batch->ctx = ctx;
-    batch->seats.store(width - 1);
+    batch->next.store(begin);
+    batch->completed.store(begin);
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       DPIPE_REQUIRE(batch_ == nullptr, "the worker pool is not reentrant");
@@ -102,7 +103,6 @@ class ThreadPool {
     std::size_t total = 0;
     IndexFn fn = nullptr;
     void* ctx = nullptr;
-    std::atomic<int> seats{0};              ///< Workers still admitted.
     std::atomic<std::size_t> next{0};       ///< Next index to claim.
     std::atomic<std::size_t> completed{0};  ///< Indices finished/skipped.
     std::atomic<bool> cancelled{false};     ///< Set on first exception.
@@ -124,9 +124,7 @@ class ThreadPool {
         seen_epoch = epoch_;
         batch = batch_;
       }
-      if (batch->seats.fetch_sub(1) > 0) {
-        run_batch(*batch);
-      }
+      run_batch(*batch);
     }
   }
 
@@ -174,9 +172,11 @@ class ThreadPool {
 /// *genuinely busy* (a batch is in flight, tracked by fanout_active); a
 /// transient loss — the holder is still between locking and fanning out,
 /// or is rebuilding the pool — blocks briefly for its own turn instead of
-/// silently serializing. Threads already inside a batch
-/// (in_parallel_region) always run inline: blocking there could deadlock
-/// the pool on itself.
+/// silently serializing. An inline loser tries the pool again after every
+/// index and fans its remaining indices out as soon as the holder's batch
+/// ends, so a concurrent caller is not left on one thread for its whole
+/// batch. Threads already inside a batch (in_parallel_region) always run
+/// inline: blocking there could deadlock the pool on itself.
 struct ProcessPool {
   std::mutex run_mutex;
   std::atomic<bool> fanout_active{false};  ///< A batch is in flight.
@@ -246,6 +246,7 @@ void set_pool_width(int num_threads) {
 }
 
 int parallel_run(std::size_t n, int max_width, IndexFn fn, void* ctx) {
+  std::size_t i = 0;
   if (n > 1 && max_width != 1 && !in_parallel_region()) {
     ProcessPool& pp = process_pool();
     std::unique_lock<std::mutex> lock(pp.run_mutex, std::try_to_lock);
@@ -255,18 +256,22 @@ int parallel_run(std::size_t n, int max_width, IndexFn fn, void* ctx) {
       // the pool rather than degrading to the single-threaded loop.
       lock.lock();
     }
-    if (lock.owns_lock()) {
-      ThreadPool& pool = acquire_pool(pp);
-      int width = pool.size();
-      if (max_width > 0) {
-        width = std::min(width, max_width);
+    // Busy pool: run inline, and take the pool for the remaining indices
+    // once the holder's batch has ended.
+    for (; !lock.owns_lock() && i < n; ++i) {
+      fn(ctx, i);
+      if (!pp.fanout_active.load(std::memory_order_acquire)) {
+        (void)lock.try_lock();
       }
-      width = static_cast<int>(
-          std::min(static_cast<std::size_t>(width), n));
+    }
+    if (lock.owns_lock() && n - i > 1) {
+      ThreadPool& pool = acquire_pool(pp);
+      const int width = static_cast<int>(
+          std::min(static_cast<std::size_t>(pool.size()), n - i));
       if (width > 1) {
         pp.fanout_active.store(true, std::memory_order_release);
         try {
-          pool.run(n, width, fn, ctx);
+          pool.run(i, n, fn, ctx);
         } catch (...) {
           pp.fanout_active.store(false, std::memory_order_release);
           throw;
@@ -276,7 +281,7 @@ int parallel_run(std::size_t n, int max_width, IndexFn fn, void* ctx) {
       }
     }
   }
-  for (std::size_t i = 0; i < n; ++i) {
+  for (; i < n; ++i) {
     fn(ctx, i);
   }
   return 1;

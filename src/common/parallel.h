@@ -24,7 +24,8 @@ namespace dpipe {
 // built lazily at the first batch that needs a second thread, so no thread
 // is started after that. Independent callers may enter concurrently: one
 // batch runs at a time, and a caller that finds a batch genuinely in flight
-// runs its own work inline instead of waiting (see parallel.cpp).
+// runs its own work inline instead of waiting, taking the pool for the
+// indices it has left once that batch ends (see parallel.cpp).
 //
 // Determinism contract: parallel_for(n, fn) invokes fn(i) exactly once for
 // every i in [0, n); which thread runs which index is unspecified, so fn
@@ -40,13 +41,16 @@ namespace dpipe {
 /// default_thread_count()). Waits for an in-flight batch to finish.
 void set_pool_width(int num_threads);
 
-/// Runs fn(ctx, i) for every i in [0, n) as one batch on the process pool,
-/// at width min(n, max_width, pool_width()) (max_width <= 0: no cap), and
-/// returns that width. The caller participates in the batch. Width 1, a
-/// caller already in_parallel_region(), and a pool busy with another
-/// caller's batch all run the indices inline on the caller in ascending
-/// order and return 1. The first exception thrown by fn is rethrown here
-/// (indices not yet started are skipped); the pool stays usable.
+/// Runs fn(ctx, i) for every i in [0, n) as one batch on the whole process
+/// pool, the caller participating, and returns the width it fanned out at:
+/// min(n, pool_width()), or 1 when every index ran inline. max_width == 1,
+/// a one-thread pool and a caller already in_parallel_region() run the
+/// indices inline on the caller in ascending order; any other max_width
+/// takes the whole pool. A pool busy with another caller's batch runs
+/// indices inline in ascending order until that batch ends, then fans the
+/// remaining ones out (width min(remaining, pool_width())). The first
+/// exception thrown by fn is rethrown here (indices not yet started are
+/// skipped); the pool stays usable.
 int parallel_run(std::size_t n, int max_width,
                  void (*fn)(void* ctx, std::size_t i), void* ctx);
 

@@ -23,10 +23,10 @@ struct PlannerOptions {
   bool enable_fill = true;     ///< Ablation: pipeline bubble filling (§6.3).
   bool enable_partial = true;  ///< Ablation: partial-batch layers (§6.3).
   bool check_memory = true;    ///< Skip configurations that exceed HBM.
-  /// Cap on the (S, M, D, V) grid search's width on the process pool;
-  /// 0 = the whole pool (pool_width()); 1 = a plain loop on the calling
-  /// thread. The selected plan and explored list are bit-identical for
-  /// every value.
+  /// Where the (S, M, D, V) grid search runs: 1 = a plain loop on the
+  /// calling thread; any other value = the whole process pool
+  /// (pool_width(), sized by DPIPE_THREADS or set_pool_width). The
+  /// selected plan and explored list are bit-identical for every value.
   int search_threads = 0;
   /// Schedule family of the candidate plans. k1F1B (the default) is the
   /// paper's single-backbone schedule; kInterleaved searches the virtual-

@@ -2,7 +2,6 @@
 
 #include <atomic>
 
-#include "common/parallel.h"
 #include "runtime/kernels.h"
 
 namespace dpipe::rt {
@@ -11,11 +10,6 @@ namespace detail {
 
 namespace {
 
-/// Work below this cost (caller units: FLOPs for matmuls, bytes moved for
-/// elementwise sweeps) runs single-threaded; the threshold depends only on
-/// the caller's shape, so the dispatch decision is deterministic.
-constexpr std::int64_t kParallelCostThreshold = 1 << 20;
-
 std::atomic<bool> g_profile{false};
 std::atomic<std::uint64_t> g_matmul_ns{0};
 std::atomic<std::uint64_t> g_matmul_calls{0};
@@ -23,18 +17,6 @@ std::atomic<std::uint64_t> g_eltwise_ns{0};
 std::atomic<std::uint64_t> g_eltwise_calls{0};
 
 }  // namespace
-
-void intraop_run_tasks(int num_tasks, std::int64_t cost,
-                       void (*fn)(void* ctx, std::size_t task), void* ctx) {
-  const auto n = static_cast<std::size_t>(num_tasks);
-  if (cost >= kParallelCostThreshold) {
-    parallel_run(n, 0, fn, ctx);
-    return;
-  }
-  for (std::size_t t = 0; t < n; ++t) {
-    fn(ctx, t);
-  }
-}
 
 bool op_profiling_enabled() {
   return g_profile.load(std::memory_order_relaxed);

@@ -22,26 +22,25 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "common/parallel.h"
+
 namespace dpipe::rt::detail {
 
-/// Runs fn(ctx, t) for every task t in [0, num_tasks), fanning out over the
-/// process pool (parallel_run) when the work is above the internal
-/// FLOP/byte threshold embodied in `cost` (callers pass their total work
-/// estimate; small `cost` skips the fan-out). Otherwise the tasks run
-/// inline on the calling thread, in ascending order.
-void intraop_run_tasks(int num_tasks, std::int64_t cost,
-                       void (*fn)(void* ctx, std::size_t task), void* ctx);
+/// Work below this cost (caller units: FLOPs for matmuls, bytes moved for
+/// elementwise sweeps) runs single-threaded; the threshold depends only on
+/// the caller's shape, so the dispatch decision is deterministic.
+inline constexpr std::int64_t kParallelCostThreshold = 1 << 20;
 
-/// Type-safe wrapper: no allocation, the callable lives on the caller's
-/// stack for the duration of the batch.
+/// Runs fn(t) for every task t in [0, num_tasks): on the process pool
+/// (parallel_for) when `cost`, the caller's total work estimate, reaches
+/// kParallelCostThreshold, otherwise inline on the calling thread in
+/// ascending order.
 template <typename Fn>
 void intraop_for_each_task(int num_tasks, std::int64_t cost, const Fn& fn) {
-  intraop_run_tasks(
-      num_tasks, cost,
-      [](void* ctx, std::size_t t) {
-        (*static_cast<const Fn*>(ctx))(static_cast<int>(t));
-      },
-      const_cast<void*>(static_cast<const void*>(&fn)));
+  parallel_for(
+      static_cast<std::size_t>(num_tasks),
+      [&fn](std::size_t t) { fn(static_cast<int>(t)); },
+      cost >= kParallelCostThreshold ? 0 : 1);
 }
 
 // --- Runtime op profiler (backing kernels.h set_op_profiling) ------------

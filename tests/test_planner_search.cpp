@@ -3,9 +3,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
-#include <mutex>
 #include <numeric>
-#include <set>
 #include <thread>
 #include <vector>
 
@@ -116,29 +114,19 @@ TEST(ParallelFor, PropagatesFirstExceptionAndStaysUsable) {
   EXPECT_EQ(ran.load(), 32);
 }
 
-TEST(ParallelFor, WidthCapLimitsParticipatingThreads) {
+TEST(ParallelFor, WidthCapIsInlineOrWholePool) {
+  // A cap of 1 runs inline (SingleThreadPoolRunsInline); every other cap,
+  // 0 included, takes the whole pool and still covers every index once.
   const PoolWidthGuard pool(4);
-  for (const int cap : {2, 3}) {
-    std::mutex mutex;
-    std::set<std::thread::id> threads;
-    std::atomic<int> ran{0};
+  for (const int cap : {0, 2, 3, 4, 9}) {
+    std::vector<int> visits(256, 0);
     EXPECT_EQ(parallel_for(
-                  256,
-                  [&](std::size_t) {
-                    {
-                      const std::lock_guard<std::mutex> lock(mutex);
-                      threads.insert(std::this_thread::get_id());
-                    }
-                    ++ran;
-                  },
-                  cap),
-              cap);
-    EXPECT_EQ(ran.load(), 256);
-    EXPECT_LE(static_cast<int>(threads.size()), cap);
-  }
-  // Caps at or above the pool's width (and 0, no cap) take the whole pool.
-  for (const int cap : {0, 4, 9}) {
-    EXPECT_EQ(parallel_for(8, [](std::size_t) {}, cap), 4) << cap;
+                  visits.size(), [&](std::size_t i) { ++visits[i]; }, cap),
+              4)
+        << cap;
+    for (std::size_t i = 0; i < visits.size(); ++i) {
+      ASSERT_EQ(visits[i], 1) << "cap " << cap << " index " << i;
+    }
   }
 }
 
@@ -190,6 +178,49 @@ TEST(ParallelFor, BusyPoolRunsInlineOnTheCaller) {
   holder.join();
   // Released, the pool takes batches again.
   EXPECT_EQ(parallel_for(8, [](std::size_t) {}), 4);
+}
+
+TEST(ParallelFor, BusyPoolLoserTakesThePoolOnceFreed) {
+  // A caller that lost the pool to another batch runs inline only until
+  // that batch ends: its remaining indices then fan out over the pool.
+  const PoolWidthGuard pool(4);
+  std::atomic<bool> held{false};
+  std::atomic<bool> release{false};
+  std::atomic<bool> holder_done{false};
+  std::thread holder([&] {
+    parallel_for(2, [&](std::size_t i) {
+      if (i == 0) {
+        held.store(true);
+        while (!release.load()) {
+          std::this_thread::yield();
+        }
+      }
+    });
+    holder_done.store(true);
+  });
+  while (!held.load()) {
+    std::this_thread::yield();
+  }
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> visits(64, 0);
+  bool first_on_caller = false;
+  const int width = parallel_for(visits.size(), [&](std::size_t i) {
+    if (i == 0) {
+      // Still busy: index 0 runs inline. Free the pool before index 1.
+      first_on_caller = std::this_thread::get_id() == caller;
+      release.store(true);
+      while (!holder_done.load()) {
+        std::this_thread::yield();
+      }
+    }
+    ++visits[i];
+  });
+  holder.join();
+  EXPECT_TRUE(first_on_caller);
+  EXPECT_EQ(width, 4);
+  for (std::size_t i = 0; i < visits.size(); ++i) {
+    ASSERT_EQ(visits[i], 1) << "index " << i;
+  }
 }
 
 TEST(ParallelFor, DefaultThreadCountReadsEnvironment) {
@@ -460,7 +491,7 @@ void expect_plans_identical(const Plan& a, const Plan& b) {
 }
 
 TEST(PlannerSearch, BitIdenticalAcrossThreadCounts) {
-  const PoolWidthGuard pool(4);
+  const PoolWidthGuard pool(2);
   const ModelDesc model = make_stable_diffusion_v21();
   const Plan seq = plan_with(model, 1, false);
   const Plan two = plan_with(model, 2, false);

@@ -5,12 +5,12 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <functional>
-#include <iterator>
 #include <memory>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -27,19 +27,29 @@ namespace fs = std::filesystem;
 
 const fs::path kTasksDir = "/proc/self/task";
 
-int count_threads() {
-  return static_cast<int>(std::distance(fs::directory_iterator(kTasksDir),
-                                        fs::directory_iterator()));
+/// The ids of the process's live threads (a joined thread's entry can
+/// outlive pthread_join briefly, so ids are compared, never counts).
+std::set<std::string> thread_ids() {
+  std::set<std::string> ids;
+  for (const fs::directory_entry& task : fs::directory_iterator(kTasksDir)) {
+    ids.insert(task.path().filename().string());
+  }
+  return ids;
 }
 
-/// The most threads the process had while `work` ran, not counting the
+/// The number of threads started while `work` ran, not counting the
 /// sampling thread itself.
-int most_threads_during(const std::function<void()>& work) {
+int threads_started_during(const std::function<void()>& work) {
+  const std::set<std::string> before = thread_ids();
   std::atomic<bool> stop{false};
-  std::atomic<int> most{0};
+  std::set<std::string> started;  // Written by the monitor only.
   std::thread monitor([&] {
     do {  // Samples at least once, however late the monitor starts.
-      most.store(std::max(most.load(), count_threads()));
+      for (const std::string& id : thread_ids()) {
+        if (before.count(id) == 0) {
+          started.insert(id);
+        }
+      }
       std::this_thread::yield();
     } while (!stop.load());
   });
@@ -52,7 +62,7 @@ int most_threads_during(const std::function<void()>& work) {
   }
   stop.store(true);
   monitor.join();
-  return most.load() - 1;
+  return static_cast<int>(started.size()) - 1;
 }
 
 /// A cold-plan request: distinct batches give distinct fingerprints.
@@ -78,20 +88,19 @@ TEST(ProcessPool, PlanningCreatesNoThreads) {
   bool hit = true;
   (void)service.plan(sd_request(128.0), &hit);  // Warm-up: builds the pool.
   ASSERT_FALSE(hit);
-  const int before = count_threads();
 
   // Sequential misses.
-  EXPECT_EQ(most_threads_during([&] {
+  EXPECT_EQ(threads_started_during([&] {
               for (const double batch : {160.0, 192.0, 224.0}) {
                 (void)service.plan(sd_request(batch));
               }
             }),
-            before);
+            0);
 
   // Concurrent callers on distinct cold requests: only the callers
   // themselves are new threads.
   constexpr int kCallers = 4;
-  EXPECT_LE(most_threads_during([&] {
+  EXPECT_LE(threads_started_during([&] {
               std::vector<std::thread> callers;
               for (int c = 0; c < kCallers; ++c) {
                 callers.emplace_back([&, c] {
@@ -102,7 +111,7 @@ TEST(ProcessPool, PlanningCreatesNoThreads) {
                 caller.join();
               }
             }),
-            before + kCallers);
+            kCallers);
   EXPECT_EQ(service.stats().planner_runs, 1u + 3u + kCallers);
 
   // Elastic re-plans for shrunk worlds.
@@ -114,14 +123,12 @@ TEST(ProcessPool, PlanningCreatesNoThreads) {
   options.config.global_batch = 8;
   options.config.checkpoint_interval = 2;
   rt::ElasticRecoveryController controller(problem, options);
-  EXPECT_EQ(most_threads_during([&] {
+  EXPECT_EQ(threads_started_during([&] {
               for (const int world : {3, 2}) {
                 (void)controller.plan_for_world(world);
               }
             }),
-            before);
-
-  EXPECT_EQ(count_threads(), before);
+            0);
 }
 
 }  // namespace

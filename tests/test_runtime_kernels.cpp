@@ -178,7 +178,7 @@ TEST(Kernels, NestedInsideParallelForRunsInlineWithoutDeadlock) {
   // path (in_parallel_region) — blocking on the pool there could deadlock
   // the pool on itself.
   KernelStateGuard guard;
-  set_pool_width(4);
+  set_pool_width(3);
   Rng rng(43);
   const Tensor a = rng.randn({96, 96});
   const Tensor b = rng.randn({96, 96});
@@ -196,8 +196,7 @@ TEST(Kernels, NestedInsideParallelForRunsInlineWithoutDeadlock) {
                                 sizeof(float)) == 0
                     ? 1
                     : 0;
-      },
-      3);
+      });
   EXPECT_EQ(outer_width, 3);
   for (const int v : ok) {
     EXPECT_EQ(v, 1);

@@ -13,8 +13,8 @@
 //
 // Cold plans fan their grid search out over the process pool, whose width
 // is DPIPE_THREADS or else the CPUs the server may run on (so `taskset`
-// caps it). Concurrent cold plans share it: one fans out at a time and the
-// others search inline on their connection threads.
+// caps it). Concurrent cold plans share it: one fans out at a time, and
+// the others search inline on their connection threads until it is free.
 
 #include <sys/socket.h>
 #include <sys/un.h>
