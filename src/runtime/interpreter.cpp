@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <functional>
 #include <map>
 #include <string>
 #include <thread>
@@ -100,201 +99,144 @@ std::atomic<WaveExec> g_wave_exec{WaveExec::kAuto};
 #endif
 }
 
-/// Outcome of one wave task's run() call.
-enum class TaskStatus { kBlocked, kDone };
+/// Which instructions of the program one wave executes (DESIGN.md §9).
+enum class Pass {
+  kTrain,     ///< The steady streams in full: one training iteration.
+  kForward,   ///< Only the steady streams' load, recv-activation, forward
+              ///< and send-activation ops: the no-grad self-conditioning
+              ///< pass, which drops its stashed contexts at the end.
+  kPreamble,  ///< The preamble streams: the un-overlapped frozen encoder.
+};
 
-/// Runs one wave's tasks to completion and returns each task's error (null
-/// if it finished cleanly), indexed like `tasks`. A task provides
-/// run() -> TaskStatus, which executes until the task's next channel pop
-/// or barrier would block (kBlocked, state kept for the next call) or the
-/// task ends (kDone), and made_progress().
-///
-/// W workers share the tasks: each sweeps them, claims an idle one, runs
-/// it and releases it, so a blocked task holds no thread and a per-task
-/// state (idle / running / done) gives it one runner at a time. W is 1
-/// under kSerial and min(#tasks, pool width) under kThreads. The workers
-/// run as one batch on the process pool (W = 1: inline on the caller,
-/// the historical round-robin); pool threads are in_parallel_region(), so
-/// kernels inside a pooled wave run inline instead of fanning out again.
-/// A busy or nested pool runs worker 0 inline, which finishes every task
-/// alone: the loop never depends on concurrency. A task's first error
-/// aborts the wave through `abort_wave`, so its peers drain out of their
-/// pops and barriers; callers choose which recorded error to rethrow.
-template <typename Task, typename Abort>
-[[nodiscard]] std::vector<std::exception_ptr> run_wave(
-    std::vector<Task>& tasks, const Abort& abort_wave,
-    double max_task_flops) {
-  enum : std::uint8_t { kIdle, kRunning, kDone };
-  const std::size_t n = tasks.size();
-  std::vector<std::exception_ptr> errors(n);
-  std::vector<std::atomic<std::uint8_t>> state(n);  // All kIdle.
-  std::atomic<std::size_t> remaining{n};
-  std::atomic<std::uint64_t> epoch{0};  ///< Bumped on every task progress.
-  std::atomic<bool> deadlocked{false};
-  const std::size_t workers =
-      wave_driver(max_task_flops) == WaveExec::kThreads ? n : 1;
-  parallel_for(workers, [&](std::size_t worker) {
-    while (remaining.load() > 0 && !deadlocked.load()) {
-      const std::uint64_t epoch_before = epoch.load();
-      bool polled_all = true;
-      bool progressed = false;
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t t = (i + worker) % n;
-        std::uint8_t claim = kIdle;
-        if (!state[t].compare_exchange_strong(claim, kRunning)) {
-          polled_all = polled_all && claim == kDone;
-          continue;
-        }
-        TaskStatus status = TaskStatus::kDone;
-        try {
-          status = tasks[t].run();
-        } catch (...) {
-          errors[t] = std::current_exception();
-          abort_wave();
-        }
-        if (status == TaskStatus::kDone) {
-          // Count the task out before marking it done: a sweep that skips
-          // every done task must then also see remaining == 0.
-          remaining.fetch_sub(1);
-          epoch.fetch_add(1);
-          state[t].store(kDone);
-          progressed = true;
-        } else {
-          if (tasks[t].made_progress()) {
-            // Bump before the release: a sweep that claims this task after
-            // the release then sees the epoch move.
-            epoch.fetch_add(1);
-            progressed = true;
+/// Whether `pass` executes instructions of `kind` (the others are inert).
+[[nodiscard]] bool runs_in(Pass pass, InstrKind kind) {
+  return pass != Pass::kForward || kind == InstrKind::kLoadMicroBatch ||
+         kind == InstrKind::kRecvActivation || kind == InstrKind::kForward ||
+         kind == InstrKind::kSendActivation;
+}
+
+/// One wave: everything its per-(replica, device) tasks share. The wave
+/// owns its channels, barriers and last-stage outputs; tasks hold a
+/// reference to it.
+struct Wave {
+  Wave(Pass pass, const ProgramBinding& b, const DdpmProblem& problem,
+       const std::vector<ProgramInterpreter::ReplicaState>& replicas,
+       const std::vector<ProgramInterpreter::WaveInputs>& inputs)
+      : pass(pass),
+        b(b),
+        problem(problem),
+        replicas(replicas),
+        inputs(inputs),
+        S(b.num_stages()),
+        M(b.num_micros()),
+        G(static_cast<int>(inputs.size())),
+        per_micro(b.rows_per_replica() / M),
+        act(pass == Pass::kPreamble ? 0 : static_cast<std::size_t>(G) * S),
+        grad(pass == Pass::kTrain ? static_cast<std::size_t>(G) * S : 0),
+        preds(pass == Pass::kPreamble ? 0 : G) {
+    for (std::vector<Tensor>& micros : preds) {
+      micros.resize(M);
+    }
+    if (pass != Pass::kTrain) {
+      return;
+    }
+    // Per-stage parameter/gradient slices of every replica, precomputed so
+    // the allreduce reducer and the optimizer steps need no module walks.
+    stage_params.resize(G);
+    stage_grads.resize(G);
+    for (int g = 0; g < G; ++g) {
+      stage_params[g].resize(S);
+      stage_grads[g].resize(S);
+      for (int s = 0; s < S; ++s) {
+        for (int i = b.module_begin(s); i < b.module_end(s); ++i) {
+          Module& mod = replicas[g].net->module(i);
+          for (Tensor* p : mod.params()) {
+            stage_params[g][s].push_back(p);
           }
-          state[t].store(kIdle);
-        }
-      }
-      if (progressed) {
-        continue;
-      }
-      // No task can progress iff this worker polled every unfinished task
-      // itself, none is running now, and nothing progressed meanwhile: the
-      // program would deadlock under any scheduler. Validated programs
-      // never get here.
-      const bool none_running =
-          std::none_of(state.begin(), state.end(),
-                       [](const std::atomic<std::uint8_t>& s) {
-                         return s.load() == kRunning;
-                       });
-      if (polled_all && none_running && epoch.load() == epoch_before &&
-          remaining.load() > 0) {
-        deadlocked.store(true);
-        return;
-      }
-      std::this_thread::yield();
-    }
-  });
-  DPIPE_ENSURE(!deadlocked.load(),
-               "cooperative wave deadlocked: no task can progress");
-  return errors;
-}
-
-/// Largest parameter-element count any one device owns across its stages:
-/// the weight factor of a wave's largest task.
-[[nodiscard]] double max_device_params(const ProgramBinding& b,
-                                       Sequential& net) {
-  double most = 0.0;
-  for (int dev = 0; dev < b.program().group_size; ++dev) {
-    double params = 0.0;
-    for (const int s : b.stages_of_device(dev)) {
-      for (int i = b.module_begin(s); i < b.module_end(s); ++i) {
-        for (const Tensor* p : net.module(i).params()) {
-          params += static_cast<double>(p->numel());
+          for (Tensor* gr : mod.grads()) {
+            stage_grads[g][s].push_back(gr);
+          }
         }
       }
     }
-    most = std::max(most, params);
+    barriers.reserve(S);
+    for (int s = 0; s < S; ++s) {
+      barriers.push_back(std::make_unique<ReduceBarrier>(G));
+    }
   }
-  return most;
-}
 
-enum class PopOutcome { kOk, kWouldBlock, kAborted };
-
-/// A wave task's channel receive: polls try_pop() and reports kWouldBlock
-/// on an empty open channel. kAborted means the channel was closed and
-/// drained.
-template <typename T>
-[[nodiscard]] PopOutcome pop_from(Channel<T>& ch, T& out) {
-  switch (ch.try_pop(out)) {
-    case TryPop::kValue:
-      return PopOutcome::kOk;
-    case TryPop::kEmpty:
-      return PopOutcome::kWouldBlock;
-    case TryPop::kClosed:
-      return PopOutcome::kAborted;
+  /// Closes every channel and aborts every barrier, so the peers of a
+  /// failed task drain out of their pops and barriers.
+  void abort() {
+    for (Channel<Tensor>& ch : act) {
+      ch.close();
+    }
+    for (Channel<Tensor>& ch : grad) {
+      ch.close();
+    }
+    for (const std::unique_ptr<ReduceBarrier>& barrier : barriers) {
+      barrier->abort();
+    }
   }
-  return PopOutcome::kAborted;  // Unreachable.
-}
 
-/// Everything one train_wave's per-(replica, device) tasks share. Owned by
-/// train_wave's frame; tasks hold a reference.
-struct TrainWave {
+  Pass pass;
   const ProgramBinding& b;
   const DdpmProblem& problem;
+  /// One per replica; empty for kPreamble, which touches no backbone.
   const std::vector<ProgramInterpreter::ReplicaState>& replicas;
-  const std::vector<ProgramInterpreter::WaveInputs>& inputs;
-  int global_batch;
-  int iteration;
-  const RtFaultInjection& fault;
-  ExecutionLog* log;
+  const std::vector<ProgramInterpreter::WaveInputs>& inputs;  ///< [g].
   int S;
   int M;
   int G;
   int per_micro;
-  std::vector<std::vector<std::vector<Tensor*>>>& stage_params;
-  std::vector<std::vector<std::vector<Tensor*>>>& stage_grads;
-  std::vector<Channel<Tensor>>& act;
-  std::vector<Channel<Tensor>>& grad;
-  std::vector<Channel<int>>& cond_gate;
-  std::vector<std::unique_ptr<ReduceBarrier>>& barriers;
-  std::vector<std::vector<Tensor>>& preds;
+  int global_batch = 0;    ///< kTrain: the loss gradient's normalizer.
+  int iteration = 0;       ///< kTrain: the iteration fault injection sees.
+  RtFaultInjection fault;  ///< Disarmed unless set (kTrain).
+  ExecutionLog* log = nullptr;  ///< Replica 0's per-device order, or null.
+  /// kTrain: [g][s] parameter and gradient slices.
+  std::vector<std::vector<std::vector<Tensor*>>> stage_params;
+  std::vector<std::vector<std::vector<Tensor*>>> stage_grads;
+  /// Inter-stage channels, flat-indexed [g * S + s]: act[s] carries stage
+  /// s -> s+1 activations (kTrain, kForward), grad[s] carries stage
+  /// s+1 -> s gradients (kTrain).
+  std::vector<Channel<Tensor>> act;
+  std::vector<Channel<Tensor>> grad;
+  std::vector<std::unique_ptr<ReduceBarrier>> barriers;  ///< [s], kTrain.
+  std::vector<std::vector<Tensor>> preds;  ///< [g][m] last-stage outputs.
 };
 
-/// A wave task that never blocks: its first run() call does all its work.
-struct OneShotTask {
-  std::function<void()> work;
+/// Outcome of one wave task's run() call.
+enum class TaskStatus { kBlocked, kDone };
 
-  TaskStatus run() {
-    work();
-    return TaskStatus::kDone;
-  }
-  [[nodiscard]] bool made_progress() const { return true; }
-};
-
-/// Resumable execution state of one (replica g, device dev) training task —
-/// the historical per-thread body with its locals lifted into
-/// members and an instruction cursor. One task walks its device's whole
-/// instruction stream, dispatching each op onto the owned (virtual) stage
-/// it names: per-stage inbox/barrier state is indexed by the stage's slot,
-/// so an interleaved device drives V resumable stage machines from one
-/// cursor. With one stage per device this is exactly the historical
-/// per-(replica, stage) task. The wave scheduler calls run() repeatedly,
-/// from whichever worker claims the task: it executes until its next
-/// channel pop or barrier would block, returns kBlocked with all state
-/// intact, and resumes exactly where it stopped. Suspension points carry
-/// no partial arithmetic, so every schedule produces bit-identical
-/// tensors.
+/// Resumable execution state of one (replica g, device dev) task of a wave
+/// — the historical per-thread body with its locals lifted into members
+/// and an instruction cursor. One task walks its device's stream for the
+/// wave's pass (the steady stream for kTrain and kForward, the preamble
+/// stream for kPreamble), dispatching each op onto the owned (virtual)
+/// stage it names: per-stage inbox/barrier state is indexed by the stage's
+/// slot, so an interleaved device drives V resumable stage machines from
+/// one cursor. The wave scheduler calls run() repeatedly, from whichever
+/// worker claims the task: it executes until its next channel pop or
+/// barrier would block, returns kBlocked with all state intact, and
+/// resumes exactly where it stopped. Suspension points carry no partial
+/// arithmetic, so every schedule produces bit-identical tensors.
 class DeviceExec {
  public:
-  DeviceExec(TrainWave& w, int g, int dev)
+  DeviceExec(Wave& w, int g, int dev)
       : w_(w),
         g_(g),
         dev_(dev),
-        stream_(w.b.program().per_device[dev]),
+        stream_(w.pass == Pass::kPreamble ? w.b.program().preamble[dev]
+                                          : w.b.program().per_device[dev]),
+        frozen_(w.pass == Pass::kPreamble ? w.b.preamble_frozen()[dev]
+                                          : w.b.steady_frozen()[dev]),
         in_(w.inputs[g]),
-        replica_(w.replicas[g]),
+        replica_(w.pass == Pass::kPreamble ? nullptr : &w.replicas[g]),
         owned_(w.b.stages_of_device(dev)),
-        loaded_(w.M),  // Stage-0 assembled inputs.
-        inbox_act_(owned_.size(),
-                   std::vector<Tensor>(w.M)),  // Received activations.
-        inbox_grad_(owned_.size(),
-                    std::vector<Tensor>(w.M)),  // Received gradients.
-        local_grads_(w.M),                      // Last stage's loss grads.
+        loaded_(w.M),
+        inbox_act_(owned_.size(), std::vector<Tensor>(w.M)),
+        inbox_grad_(owned_.size(), std::vector<Tensor>(w.M)),
+        local_grads_(w.M),
         barrier_arrived_(owned_.size(), 0) {}
 
   /// Executes instructions from the cursor until one would block
@@ -309,25 +251,25 @@ class DeviceExec {
 
  private:
   /// Marks the task finished (aborted wave): the scheduler must not resume
-  /// it again.
+  /// it again, and a kForward task skips its context drop.
   TaskStatus finish() {
     ip_ = stream_.size();
     progressed_ = true;
     return TaskStatus::kDone;
   }
 
-  TrainWave& w_;
+  Wave& w_;
   int g_;
   int dev_;
   const std::vector<Instruction>& stream_;
+  const std::vector<ProgramBinding::FrozenSlot>& frozen_;  ///< [occurrence].
   const ProgramInterpreter::WaveInputs& in_;
-  const ProgramInterpreter::ReplicaState& replica_;
+  const ProgramInterpreter::ReplicaState* replica_;  ///< Null for kPreamble.
   const std::vector<int>& owned_;  ///< Stages this device owns, slot order.
-  std::vector<Tensor> loaded_;
+  std::vector<Tensor> loaded_;                   ///< Stage-0 inputs [micro].
   std::vector<std::vector<Tensor>> inbox_act_;   ///< [slot][micro].
   std::vector<std::vector<Tensor>> inbox_grad_;  ///< [slot][micro].
-  std::vector<Tensor> local_grads_;
-  bool gate_passed_ = false;
+  std::vector<Tensor> local_grads_;              ///< Last stage's loss grads.
   int frozen_seen_ = 0;
   std::size_t ip_ = 0;      ///< Next instruction to execute.
   std::size_t logged_ = 0;  ///< Instructions already logged (once each).
@@ -340,6 +282,11 @@ TaskStatus DeviceExec::run() {
   TensorPool& pool = TensorPool::global();
   while (ip_ < stream_.size()) {
     const Instruction& instr = stream_[ip_];
+    if (!runs_in(w_.pass, instr.kind)) {
+      ++ip_;
+      progressed_ = true;
+      continue;
+    }
     if (logged_ <= ip_) {
       // Log on first arrival (a blocked instruction is revisited but must
       // be recorded once, in the order the device reached it).
@@ -350,18 +297,8 @@ TaskStatus DeviceExec::run() {
     }
     switch (instr.kind) {
       case InstrKind::kLoadMicroBatch: {
-        if (!gate_passed_) {
-          int token = 0;
-          switch (pop_from(w_.cond_gate[g_], token)) {
-            case PopOutcome::kOk:
-              break;
-            case PopOutcome::kWouldBlock:
-              return TaskStatus::kBlocked;
-            case PopOutcome::kAborted:
-              return finish();  // Wave aborted before the inputs arrived.
-          }
-          gate_passed_ = true;
-        }
+        // The cross-iteration fence needs no wait: this iteration's
+        // conditioning exists before the wave starts.
         const int m = instr.micro;
         const int lo = m * w_.per_micro;
         const int hi = lo + w_.per_micro;
@@ -378,13 +315,13 @@ TaskStatus DeviceExec::run() {
       case InstrKind::kRecvActivation: {
         const int s = instr.stage;
         Tensor recv;
-        switch (pop_from(w_.act[g_ * w_.S + (s - 1)], recv)) {
-          case PopOutcome::kOk:
+        switch (w_.act[g_ * w_.S + (s - 1)].try_pop(recv)) {
+          case TryPop::kValue:
             inbox_act_[w_.b.slot_of_stage(s)][instr.micro] = std::move(recv);
             break;
-          case PopOutcome::kWouldBlock:
+          case TryPop::kEmpty:
             return TaskStatus::kBlocked;
-          case PopOutcome::kAborted:
+          case TryPop::kClosed:
             return finish();  // Peer aborted the wave.
         }
         break;
@@ -392,13 +329,13 @@ TaskStatus DeviceExec::run() {
       case InstrKind::kRecvGradient: {
         const int s = instr.stage;
         Tensor recv;
-        switch (pop_from(w_.grad[g_ * w_.S + s], recv)) {
-          case PopOutcome::kOk:
+        switch (w_.grad[g_ * w_.S + s].try_pop(recv)) {
+          case TryPop::kValue:
             inbox_grad_[w_.b.slot_of_stage(s)][instr.micro] = std::move(recv);
             break;
-          case PopOutcome::kWouldBlock:
+          case TryPop::kEmpty:
             return TaskStatus::kBlocked;
-          case PopOutcome::kAborted:
+          case TryPop::kClosed:
             return finish();  // Peer aborted the wave.
         }
         break;
@@ -417,11 +354,13 @@ TaskStatus DeviceExec::run() {
         }
         Tensor x =
             s == 0 ? std::move(loaded_[m]) : std::move(inbox_act_[slot][m]);
-        Tensor y = replica_.net->forward_range(
+        Tensor y = replica_->net->forward_range(
             std::move(x), w_.b.module_begin(s), w_.b.module_end(s));
         if (s == w_.S - 1) {
-          local_grads_[m] =
-              w_.problem.loss_grad(y, in_.micros[m].noise, w_.global_batch);
+          if (w_.pass == Pass::kTrain) {
+            local_grads_[m] = w_.problem.loss_grad(y, in_.micros[m].noise,
+                                                   w_.global_batch);
+          }
           w_.preds[g_][m] = std::move(y);
         } else {
           inbox_act_[slot][m] = std::move(y);  // Outbox until the send.
@@ -442,7 +381,7 @@ TaskStatus DeviceExec::run() {
         const int m = instr.micro;
         Tensor gin = s == w_.S - 1 ? std::move(local_grads_[m])
                                    : std::move(inbox_grad_[slot][m]);
-        Tensor gout = replica_.net->backward_range(
+        Tensor gout = replica_->net->backward_range(
             std::move(gin), w_.b.module_begin(s), w_.b.module_end(s));
         if (s == 0) {
           pool.release(std::move(gout));
@@ -463,8 +402,7 @@ TaskStatus DeviceExec::run() {
         // One bound slot per covered layer (see ProgramBinding).
         for (int layer = instr.layer_begin; layer < instr.layer_end;
              ++layer) {
-          const ProgramBinding::FrozenSlot& slot =
-              w_.b.steady_frozen()[dev_][frozen_seen_++];
+          const ProgramBinding::FrozenSlot& slot = frozen_[frozen_seen_++];
           if (!slot.produces_cond || in_.next_cond_raw == nullptr ||
               in_.next_cond == nullptr || slot.rows.rows() == 0) {
             continue;  // Modeled compute only.
@@ -525,11 +463,11 @@ TaskStatus DeviceExec::run() {
       }
       case InstrKind::kOptimizerStep: {
         const int s = instr.stage;
-        if (!replica_.stage_adam.empty()) {
-          replica_.stage_adam[s]->step(w_.stage_params[g_][s],
-                                       w_.stage_grads[g_][s]);
+        if (!replica_->stage_adam.empty()) {
+          replica_->stage_adam[s]->step(w_.stage_params[g_][s],
+                                        w_.stage_grads[g_][s]);
         } else {
-          replica_.sgd->step(w_.stage_params[g_][s], w_.stage_grads[g_][s]);
+          replica_->sgd->step(w_.stage_params[g_][s], w_.stage_grads[g_][s]);
         }
         for (Tensor* gt : w_.stage_grads[g_][s]) {
           fill(*gt, 0.0f);
@@ -540,7 +478,147 @@ TaskStatus DeviceExec::run() {
     ++ip_;
     progressed_ = true;
   }
+  if (w_.pass == Pass::kForward) {
+    // Discard the no-grad pass's stashed contexts, one per micro per owned
+    // stage. An aborted task returns through finish() and skips this.
+    for (const int s : owned_) {
+      for (int m = 0; m < w_.M; ++m) {
+        replica_->net->drop_context_range(w_.b.module_begin(s),
+                                          w_.b.module_end(s));
+      }
+    }
+  }
   return TaskStatus::kDone;
+}
+
+/// Runs one wave's tasks to completion and returns each task's error (null
+/// if it finished cleanly), indexed like `tasks`. A task's run() executes
+/// until its next channel pop or barrier would block (kBlocked, state kept
+/// for the next call) or the task ends (kDone).
+///
+/// W workers share the tasks: each sweeps them, claims an idle one, runs
+/// it and releases it, so a blocked task holds no thread and a per-task
+/// state (idle / running / done) gives it one runner at a time. W is 1
+/// under kSerial and min(#tasks, pool width) under kThreads. The workers
+/// run as one batch on the process pool (W = 1: inline on the caller,
+/// the historical round-robin); pool threads are in_parallel_region(), so
+/// kernels inside a pooled wave run inline instead of fanning out again.
+/// A busy or nested pool runs worker 0 inline, which finishes every task
+/// alone: the loop never depends on concurrency. A task's first error
+/// aborts the wave, so its peers drain out of their pops and barriers.
+[[nodiscard]] std::vector<std::exception_ptr> run_wave(
+    std::vector<DeviceExec>& tasks, Wave& wave, double max_task_flops) {
+  enum : std::uint8_t { kIdle, kRunning, kDone };
+  const std::size_t n = tasks.size();
+  std::vector<std::exception_ptr> errors(n);
+  std::vector<std::atomic<std::uint8_t>> state(n);  // All kIdle.
+  std::atomic<std::size_t> remaining{n};
+  std::atomic<std::uint64_t> epoch{0};  ///< Bumped on every task progress.
+  std::atomic<bool> deadlocked{false};
+  const std::size_t workers =
+      wave_driver(max_task_flops) == WaveExec::kThreads ? n : 1;
+  parallel_for(workers, [&](std::size_t worker) {
+    while (remaining.load() > 0 && !deadlocked.load()) {
+      const std::uint64_t epoch_before = epoch.load();
+      bool polled_all = true;
+      bool progressed = false;
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t t = (i + worker) % n;
+        std::uint8_t claim = kIdle;
+        if (!state[t].compare_exchange_strong(claim, kRunning)) {
+          polled_all = polled_all && claim == kDone;
+          continue;
+        }
+        TaskStatus status = TaskStatus::kDone;
+        try {
+          status = tasks[t].run();
+        } catch (...) {
+          errors[t] = std::current_exception();
+          wave.abort();
+        }
+        if (status == TaskStatus::kDone) {
+          // Count the task out before marking it done: a sweep that skips
+          // every done task must then also see remaining == 0.
+          remaining.fetch_sub(1);
+          epoch.fetch_add(1);
+          state[t].store(kDone);
+          progressed = true;
+        } else {
+          if (tasks[t].made_progress()) {
+            // Bump before the release: a sweep that claims this task after
+            // the release then sees the epoch move.
+            epoch.fetch_add(1);
+            progressed = true;
+          }
+          state[t].store(kIdle);
+        }
+      }
+      if (progressed) {
+        continue;
+      }
+      // No task can progress iff this worker polled every unfinished task
+      // itself, none is running now, and nothing progressed meanwhile: the
+      // program would deadlock under any scheduler. Validated programs
+      // never get here.
+      const bool none_running =
+          std::none_of(state.begin(), state.end(),
+                       [](const std::atomic<std::uint8_t>& s) {
+                         return s.load() == kRunning;
+                       });
+      if (polled_all && none_running && epoch.load() == epoch_before &&
+          remaining.load() > 0) {
+        deadlocked.store(true);
+        return;
+      }
+      std::this_thread::yield();
+    }
+  });
+  DPIPE_ENSURE(!deadlocked.load(),
+               "cooperative wave deadlocked: no task can progress");
+  return errors;
+}
+
+/// Runs `wave` as one task per (replica, device), on the driver its
+/// largest task's estimated `max_task_flops` picks, then rethrows the
+/// first recorded error scanning device-major, so one set of failures
+/// always rethrows one error.
+void execute(Wave& wave, double max_task_flops) {
+  const int devices = wave.b.program().group_size;
+  if (wave.log != nullptr) {
+    wave.log->resize(devices);
+  }
+  std::vector<DeviceExec> tasks;
+  tasks.reserve(static_cast<std::size_t>(wave.G) * devices);
+  for (int g = 0; g < wave.G; ++g) {
+    for (int dev = 0; dev < devices; ++dev) {
+      tasks.emplace_back(wave, g, dev);
+    }
+  }
+  const std::vector<std::exception_ptr> errors =
+      run_wave(tasks, wave, max_task_flops);
+  for (int dev = 0; dev < devices; ++dev) {
+    for (int g = 0; g < wave.G; ++g) {
+      if (errors[static_cast<std::size_t>(g) * devices + dev] != nullptr) {
+        std::rethrow_exception(
+            errors[static_cast<std::size_t>(g) * devices + dev]);
+      }
+    }
+  }
+}
+
+/// Checks one steady-stream wave's per-replica inputs against the program.
+void require_steady_inputs(
+    const ProgramBinding& b,
+    const std::vector<ProgramInterpreter::ReplicaState>& replicas,
+    const std::vector<ProgramInterpreter::WaveInputs>& inputs) {
+  DPIPE_REQUIRE(!replicas.empty(), "need at least one replica");
+  DPIPE_REQUIRE(inputs.size() == replicas.size(),
+                "one WaveInputs per replica");
+  for (const ProgramInterpreter::WaveInputs& in : inputs) {
+    DPIPE_REQUIRE(static_cast<int>(in.micros.size()) == b.num_micros(),
+                  "micro-batch count mismatch with the program");
+    DPIPE_REQUIRE(in.cond != nullptr, "wave needs encoder outputs");
+  }
 }
 
 }  // namespace
@@ -726,115 +804,36 @@ ProgramBinding::ProgramBinding(const InstructionProgram& program,
 
 ProgramInterpreter::ProgramInterpreter(const DdpmProblem& problem,
                                        const ProgramBinding& binding,
-                                       int global_batch)
+                                       int global_batch, Sequential& net)
     : problem_(&problem), binding_(&binding), global_batch_(global_batch) {
   DPIPE_REQUIRE(global_batch >= 1, "global batch must be positive");
+  DPIPE_REQUIRE(net.size() == binding.module_cut().back(),
+                "backbone does not match the binding's module count");
+  for (int dev = 0; dev < binding.program().group_size; ++dev) {
+    double params = 0.0;
+    for (const int s : binding.stages_of_device(dev)) {
+      for (int i = binding.module_begin(s); i < binding.module_end(s); ++i) {
+        for (const Tensor* p : net.module(i).params()) {
+          params += static_cast<double>(p->numel());
+        }
+      }
+    }
+    max_device_params_ = std::max(max_device_params_, params);
+  }
 }
 
 double ProgramInterpreter::train_wave(
     const std::vector<ReplicaState>& replicas,
     const std::vector<WaveInputs>& inputs, int iteration,
     const RtFaultInjection& fault, ExecutionLog* log) const {
-  const ProgramBinding& b = *binding_;
-  const int S = b.num_stages();
-  const int M = b.num_micros();
-  const int G = static_cast<int>(replicas.size());
-  DPIPE_REQUIRE(G >= 1, "need at least one replica");
-  DPIPE_REQUIRE(static_cast<int>(inputs.size()) == G,
-                "one WaveInputs per replica");
-  for (const WaveInputs& in : inputs) {
-    DPIPE_REQUIRE(static_cast<int>(in.micros.size()) == M,
-                  "micro-batch count mismatch with the program");
-    DPIPE_REQUIRE(in.cond != nullptr, "wave needs encoder outputs");
-  }
-  if (log != nullptr) {
-    log->resize(b.program().group_size);
-  }
-
-  // Per-stage parameter/gradient slices of every replica, precomputed so
-  // the allreduce reducer and the optimizer steps need no module walks.
-  std::vector<std::vector<std::vector<Tensor*>>> stage_params(G);
-  std::vector<std::vector<std::vector<Tensor*>>> stage_grads(G);
-  for (int g = 0; g < G; ++g) {
-    stage_params[g].resize(S);
-    stage_grads[g].resize(S);
-    for (int s = 0; s < S; ++s) {
-      for (int i = b.module_begin(s); i < b.module_end(s); ++i) {
-        Module& mod = replicas[g].net->module(i);
-        for (Tensor* p : mod.params()) {
-          stage_params[g][s].push_back(p);
-        }
-        for (Tensor* gr : mod.grads()) {
-          stage_grads[g][s].push_back(gr);
-        }
-      }
-    }
-  }
-
-  // Inter-stage channels, flat-indexed [g * S + s]: act[s] carries stage
-  // s -> s+1 activations, grad[s] carries stage s+1 -> s gradients.
-  std::vector<Channel<Tensor>> act(static_cast<std::size_t>(G) * S);
-  std::vector<Channel<Tensor>> grad(static_cast<std::size_t>(G) * S);
-  // The cross-iteration fence: kLoadMicroBatch may not start before this
-  // iteration's non-trainable outputs exist. The driver arms the gate once
-  // the conditioning tensor is ready (here: before the wave starts).
-  std::vector<Channel<int>> cond_gate(G);
-  std::vector<std::unique_ptr<ReduceBarrier>> barriers;
-  barriers.reserve(S);
-  for (int s = 0; s < S; ++s) {
-    barriers.push_back(std::make_unique<ReduceBarrier>(G));
-  }
-  for (int g = 0; g < G; ++g) {
-    DPIPE_ENSURE(cond_gate[g].push(1),
-                 "cond gate closed before the wave started");
-  }
-
-  const auto abort_all = [&] {
-    for (Channel<Tensor>& ch : act) {
-      ch.close();
-    }
-    for (Channel<Tensor>& ch : grad) {
-      ch.close();
-    }
-    for (Channel<int>& ch : cond_gate) {
-      ch.close();
-    }
-    for (const std::unique_ptr<ReduceBarrier>& barrier : barriers) {
-      barrier->abort();
-    }
-  };
-
-  const int per_micro = b.rows_per_replica() / M;
-  std::vector<std::vector<Tensor>> preds(G);
-  for (int g = 0; g < G; ++g) {
-    preds[g].resize(M);
-  }
-  const int devices = b.program().group_size;
-  TrainWave wave{b,         *problem_,  replicas,  inputs,   global_batch_,
-                 iteration, fault,      log,       S,        M,
-                 G,         per_micro,  stage_params, stage_grads,
-                 act,       grad,       cond_gate, barriers, preds};
-  std::vector<DeviceExec> tasks;
-  tasks.reserve(static_cast<std::size_t>(G) * devices);
-  for (int g = 0; g < G; ++g) {
-    for (int dev = 0; dev < devices; ++dev) {
-      tasks.emplace_back(wave, g, dev);
-    }
-  }
+  require_steady_inputs(*binding_, replicas, inputs);
+  Wave wave(Pass::kTrain, *binding_, *problem_, replicas, inputs);
+  wave.global_batch = global_batch_;
+  wave.iteration = iteration;
+  wave.fault = fault;
+  wave.log = log;
   // Forward + backward is ~6 FLOPs per parameter element per row.
-  const double max_task_flops = 6.0 * per_micro * M *
-                                max_device_params(b, *replicas[0].net);
-  const std::vector<std::exception_ptr> errors =
-      run_wave(tasks, abort_all, max_task_flops);
-  // Scan device-major, so one set of failures always rethrows one error.
-  for (int dev = 0; dev < devices; ++dev) {
-    for (int g = 0; g < G; ++g) {
-      if (errors[static_cast<std::size_t>(g) * devices + dev] != nullptr) {
-        std::rethrow_exception(
-            errors[static_cast<std::size_t>(g) * devices + dev]);
-      }
-    }
-  }
+  execute(wave, 6.0 * wave.per_micro * wave.M * max_device_params_);
 
   // Loss accumulation in the reference order: a per-replica partial sum
   // (micros ascending, elements in order), partials folded in ascending
@@ -842,238 +841,51 @@ double ProgramInterpreter::train_wave(
   // sequentially.
   TensorPool& pool = TensorPool::global();
   double sse = 0.0;
-  for (int g = 0; g < G; ++g) {
+  for (int g = 0; g < wave.G; ++g) {
     double replica_sse = 0.0;
-    for (int m = 0; m < M; ++m) {
-      const Tensor& p = preds[g][m];
+    for (int m = 0; m < wave.M; ++m) {
+      const Tensor& p = wave.preds[g][m];
       const Tensor& t = inputs[g].micros[m].noise;
       DPIPE_ENSURE(p.shape() == t.shape(), "pred/target shape mismatch");
       for (std::int64_t i = 0; i < p.numel(); ++i) {
         const float d = p.data()[i] - t.data()[i];
         replica_sse += static_cast<double>(d) * d;
       }
-      pool.release(std::move(preds[g][m]));
+      pool.release(std::move(wave.preds[g][m]));
     }
     sse += replica_sse;
   }
   return sse;  // Caller normalizes over the global batch.
 }
 
-namespace {
-
-/// Resumable per-device state of one forward_wave (the no-grad
-/// self-conditioning pass) — same scheduling and stage-dispatch contract
-/// as DeviceExec.
-class ForwardExec {
- public:
-
-  ForwardExec(const ProgramBinding& b, const DdpmProblem& problem,
-              const ProgramInterpreter::ReplicaState& replica,
-              const ProgramInterpreter::WaveInputs& inputs, int dev, int S,
-              int M, int per_micro, std::vector<Channel<Tensor>>& act,
-              std::vector<Tensor>& outputs)
-      : b_(b),
-        problem_(problem),
-        replica_(replica),
-        in_(inputs),
-        S_(S),
-        M_(M),
-        per_micro_(per_micro),
-        act_(act),
-        outputs_(outputs),
-        stream_(b.program().per_device[dev]),
-        owned_(b.stages_of_device(dev)),
-        loaded_(M),
-        inbox_(owned_.size(), std::vector<Tensor>(M)) {}
-
-  TaskStatus run() {
-    progressed_ = false;
-    while (ip_ < stream_.size()) {
-      const Instruction& instr = stream_[ip_];
-      switch (instr.kind) {
-        case InstrKind::kLoadMicroBatch: {
-          const int m = instr.micro;
-          const int lo = m * per_micro_;
-          const Tensor cond_rows = in_.cond->slice_rows(
-              in_.row_offset + lo, in_.row_offset + lo + per_micro_);
-          loaded_[m] = problem_.make_input(in_.micros[m], cond_rows, nullptr);
-          break;
-        }
-        case InstrKind::kRecvActivation: {
-          const int s = instr.stage;
-          Tensor recv;
-          switch (pop_from(act_[s - 1], recv)) {
-            case PopOutcome::kOk:
-              inbox_[b_.slot_of_stage(s)][instr.micro] = std::move(recv);
-              break;
-            case PopOutcome::kWouldBlock:
-              return TaskStatus::kBlocked;
-            case PopOutcome::kAborted:
-              return finish();
-          }
-          break;
-        }
-        case InstrKind::kForward: {
-          const int s = instr.stage;
-          const int slot = b_.slot_of_stage(s);
-          const int m = instr.micro;
-          Tensor x =
-              s == 0 ? std::move(loaded_[m]) : std::move(inbox_[slot][m]);
-          Tensor y = replica_.net->forward_range(
-              std::move(x), b_.module_begin(s), b_.module_end(s));
-          if (s == S_ - 1) {
-            outputs_[m] = std::move(y);
-          } else {
-            inbox_[slot][m] = std::move(y);
-          }
-          break;
-        }
-        case InstrKind::kSendActivation: {
-          const int s = instr.stage;
-          if (!act_[s].push(
-                  std::move(inbox_[b_.slot_of_stage(s)][instr.micro]))) {
-            return finish();
-          }
-          break;
-        }
-        default:
-          break;  // No-grad pass: backward/opt/frozen ops are inert.
-      }
-      ++ip_;
-      progressed_ = true;
-    }
-    // Discard the stashed contexts of this no-grad pass, per owned stage.
-    // Reached only on natural completion (an aborted task skips it, like
-    // the historical early task exit).
-    for (const int s : owned_) {
-      for (int m = 0; m < M_; ++m) {
-        replica_.net->drop_context_range(b_.module_begin(s),
-                                         b_.module_end(s));
-      }
-    }
-    progressed_ = true;
-    return TaskStatus::kDone;
-  }
-
-  [[nodiscard]] bool made_progress() const { return progressed_; }
-
- private:
-  TaskStatus finish() {
-    ip_ = stream_.size() + 1;  // Past-the-end: skip the context drop too.
-    progressed_ = true;
-    return TaskStatus::kDone;
-  }
-
-  const ProgramBinding& b_;
-  const DdpmProblem& problem_;
-  const ProgramInterpreter::ReplicaState& replica_;
-  const ProgramInterpreter::WaveInputs& in_;
-  int S_;
-  int M_;
-  int per_micro_;
-  std::vector<Channel<Tensor>>& act_;
-  std::vector<Tensor>& outputs_;
-  const std::vector<Instruction>& stream_;
-  const std::vector<int>& owned_;  ///< Stages this device owns, slot order.
-  std::vector<Tensor> loaded_;
-  std::vector<std::vector<Tensor>> inbox_;  ///< [slot][micro].
-  std::size_t ip_ = 0;
-  bool progressed_ = false;
-};
-
-}  // namespace
-
-std::vector<Tensor> ProgramInterpreter::forward_wave(
-    const ReplicaState& replica, const WaveInputs& inputs) const {
-  const ProgramBinding& b = *binding_;
-  const int S = b.num_stages();
-  const int M = b.num_micros();
-  DPIPE_REQUIRE(static_cast<int>(inputs.micros.size()) == M,
-                "micro-batch count mismatch with the program");
-  DPIPE_REQUIRE(inputs.cond != nullptr, "wave needs encoder outputs");
-  const int per_micro = b.rows_per_replica() / M;
-  const int devices = b.program().group_size;
-  std::vector<Channel<Tensor>> act(S);
-  std::vector<Tensor> outputs(M);
-  const auto abort_all = [&] {
-    for (Channel<Tensor>& ch : act) {
-      ch.close();
-    }
-  };
-  std::vector<ForwardExec> tasks;
-  tasks.reserve(devices);
-  for (int dev = 0; dev < devices; ++dev) {
-    tasks.emplace_back(b, *problem_, replica, inputs, dev, S, M, per_micro,
-                       act, outputs);
-  }
+std::vector<std::vector<Tensor>> ProgramInterpreter::forward_wave(
+    const std::vector<ReplicaState>& replicas,
+    const std::vector<WaveInputs>& inputs) const {
+  require_steady_inputs(*binding_, replicas, inputs);
+  Wave wave(Pass::kForward, *binding_, *problem_, replicas, inputs);
   // Forward only: ~2 FLOPs per parameter element per row.
-  const double max_task_flops =
-      2.0 * per_micro * M * max_device_params(b, *replica.net);
-  for (const std::exception_ptr& error :
-       run_wave(tasks, abort_all, max_task_flops)) {
-    if (error != nullptr) {
-      std::rethrow_exception(error);
-    }
-  }
-  return outputs;
+  execute(wave, 2.0 * wave.per_micro * wave.M * max_device_params_);
+  return std::move(wave.preds);
 }
 
 void ProgramInterpreter::run_preamble(const Tensor& cond_raw, Tensor& cond,
                                       int replicas,
                                       ExecutionLog* log) const {
   const ProgramBinding& b = *binding_;
-  const int devices = b.program().group_size;
-  if (log != nullptr) {
-    log->resize(devices);
-  }
-  // Preamble tasks are fully independent (disjoint row slices, no
-  // channels): each finishes in its first run() call, and a failure has
-  // nothing to abort.
-  const auto run_device = [&](int g, int dev) {
-    const int row_offset = g * b.rows_per_replica();
-    int frozen_seen = 0;
-    TensorPool& pool = TensorPool::global();
-    for (const Instruction& instr : b.program().preamble[dev]) {
-      if (log != nullptr && g == 0) {
-        (*log)[dev].push_back(op_signature(instr));
-      }
-      // One bound slot per covered layer (see ProgramBinding).
-      for (int layer = instr.layer_begin; layer < instr.layer_end; ++layer) {
-        const ProgramBinding::FrozenSlot& slot =
-            b.preamble_frozen()[dev][frozen_seen++];
-        if (!slot.produces_cond || slot.rows.rows() == 0) {
-          continue;  // Modeled compute only.
-        }
-        const Tensor raw = cond_raw.slice_rows(row_offset + slot.rows.begin,
-                                               row_offset + slot.rows.end);
-        Tensor enc = problem_->encode_condition(raw);
-        const int cols = enc.cols();
-        std::copy(enc.data(), enc.data() + enc.numel(),
-                  cond.data() + static_cast<std::int64_t>(
-                                    row_offset + slot.rows.begin) *
-                                    cols);
-        pool.release(std::move(enc));
-      }
-    }
-  };
-  std::vector<OneShotTask> tasks;
-  tasks.reserve(static_cast<std::size_t>(replicas) * devices);
+  std::vector<WaveInputs> inputs(replicas);
   for (int g = 0; g < replicas; ++g) {
-    for (int dev = 0; dev < devices; ++dev) {
-      tasks.push_back({[&run_device, g, dev] { run_device(g, dev); }});
-    }
+    inputs[g].row_offset = g * b.rows_per_replica();
+    inputs[g].next_cond_raw = &cond_raw;
+    inputs[g].next_cond = &cond;
   }
+  const std::vector<ReplicaState> no_replicas;
+  Wave wave(Pass::kPreamble, b, *problem_, no_replicas, inputs);
+  wave.log = log;
   // The encoder's two bias-free matmuls (cond_raw -> 2c -> c) over a
   // replica's rows: the most one device can encode.
   const DdpmConfig& c = problem_->config();
-  const double max_task_flops = 2.0 * b.rows_per_replica() * 2.0 *
-                                c.cond_dim * (c.cond_raw_dim + c.cond_dim);
-  for (const std::exception_ptr& error :
-       run_wave(tasks, [] {}, max_task_flops)) {
-    if (error != nullptr) {
-      std::rethrow_exception(error);
-    }
-  }
+  execute(wave, 2.0 * b.rows_per_replica() * 2.0 * c.cond_dim *
+                    (c.cond_raw_dim + c.cond_dim));
 }
 
 ModelDesc trainer_planner_model(int num_modules) {

@@ -158,22 +158,28 @@ class ProgramBinding {
   std::vector<std::vector<FrozenSlot>> preamble_frozen_;
 };
 
-/// Executes a bound InstructionProgram on the functional runtime: one
-/// task per device walks its instruction stream over real tensors,
-/// rt::Channels carry activations/gradients between stage tasks, a
-/// cross-replica rendezvous realizes kAllReduceGrads, and kOptimizerStep
-/// updates the stage's parameter slice in place. The cross-iteration
-/// kLoadMicroBatch fence is a channel the driver signals once the
-/// iteration's encoder outputs exist; kFrozenForward ops encode their bound
-/// row slice of the *next* iteration's conditioning into the sink tensor.
+/// Executes a bound InstructionProgram on the functional runtime. One
+/// instruction walker serves three passes over the program: a training
+/// wave runs the steady streams in full, the self-conditioning wave runs
+/// only their load/recv-activation/forward/send-activation ops, and the
+/// preamble wave runs the preamble streams. Each wave is group_size x
+/// replicas resumable tasks — one per (replica, device), each driving all
+/// of the device's owned virtual stages — scheduled cooperatively per
+/// WaveExec. rt::Channels carry activations/gradients between stage tasks,
+/// a cross-replica rendezvous realizes kAllReduceGrads, kOptimizerStep
+/// updates the stage's parameter slice in place, and kFrozenForward ops
+/// encode their bound row slice of the conditioning into a sink tensor
+/// (the *next* iteration's inside a training wave, this iteration's in the
+/// preamble). The cross-iteration kLoadMicroBatch fence needs no signal:
+/// the caller passes this iteration's conditioning, which exists before
+/// the wave starts.
 ///
-/// All data-parallel replicas execute the program in one wave (group_size
-/// x replicas tasks — one per device, each driving all of its owned
-/// virtual stages), scheduled cooperatively per WaveExec. Determinism:
-/// every value is a pure function of the inputs — task interleaving cannot
-/// change results because tensors flow point-to-point, the gradient
-/// reduction runs in ascending replica order under a lock, and per-stage
-/// optimizer updates touch disjoint parameter slices.
+/// Determinism: every value is a pure function of the inputs — task
+/// interleaving cannot change results because tensors flow point-to-point,
+/// the gradient reduction runs in ascending replica order under a lock,
+/// and per-stage optimizer updates touch disjoint parameter slices. A
+/// failing task aborts its wave; the first error in device-major order is
+/// rethrown.
 class ProgramInterpreter {
  public:
   /// Mutable training state of one data-parallel replica.
@@ -189,28 +195,35 @@ class ProgramInterpreter {
     const Tensor* cond = nullptr;  ///< Encoder outputs, all replicas' rows.
     int row_offset = 0;            ///< This replica's first row in `cond`.
     const Tensor* self_cond = nullptr;      ///< [shard rows, data_dim].
-    const Tensor* next_cond_raw = nullptr;  ///< Next iteration's raw cond
-                                            ///< (all replicas' rows).
+    const Tensor* next_cond_raw = nullptr;  ///< Raw cond the frozen ops
+                                            ///< encode (all replicas' rows).
     Tensor* next_cond = nullptr;   ///< Sink for kFrozenForward outputs.
   };
 
+  /// `net` is a backbone of the replicas' shape: its per-device parameter
+  /// counts size every wave's work estimate, once.
   ProgramInterpreter(const DdpmProblem& problem,
-                     const ProgramBinding& binding, int global_batch);
+                     const ProgramBinding& binding, int global_batch,
+                     Sequential& net);
 
-  /// One full training iteration across all replicas: 1F1B forward/backward
-  /// waves, gradient allreduce, optimizer steps, and (cross-iteration mode)
-  /// frozen-forward encoding of the next iteration's inputs. Returns the
-  /// summed squared error over all replicas (ascending replica order).
-  /// `log` (optional) records replica 0's per-device execution order.
+  /// One full training iteration across all replicas in one wave: 1F1B
+  /// forward/backward, gradient allreduce, optimizer steps, and
+  /// (cross-iteration mode) frozen-forward encoding of the next
+  /// iteration's inputs. Returns the summed squared error over all
+  /// replicas (ascending replica order). `log` (optional) records replica
+  /// 0's per-device execution order.
   double train_wave(const std::vector<ReplicaState>& replicas,
                     const std::vector<WaveInputs>& inputs, int iteration,
                     const RtFaultInjection& fault, ExecutionLog* log) const;
 
-  /// Forward-only (no-grad) replay of the program's load/recv/forward/send
-  /// instructions for one replica — the self-conditioning first pass.
-  /// Returns the last stage's per-micro outputs; contexts are dropped.
-  [[nodiscard]] std::vector<Tensor> forward_wave(
-      const ReplicaState& replica, const WaveInputs& inputs) const;
+  /// The self-conditioning first pass: a no-grad replay of the program's
+  /// load/recv/forward/send instructions for every replica in one wave.
+  /// Its inputs carry no self_cond yet (this pass produces it). Returns
+  /// the last stage's outputs [replica][micro]; the pass's stashed
+  /// contexts are dropped.
+  [[nodiscard]] std::vector<std::vector<Tensor>> forward_wave(
+      const std::vector<ReplicaState>& replicas,
+      const std::vector<WaveInputs>& inputs) const;
 
   /// Executes the iteration-0 preamble streams: every device encodes its
   /// bound row slice of `cond_raw` into `cond` (one task per device per
@@ -224,6 +237,9 @@ class ProgramInterpreter {
   const DdpmProblem* problem_;
   const ProgramBinding* binding_;
   int global_batch_;
+  /// Largest parameter-element count any one device owns across its
+  /// stages: the weight factor of a wave's largest task.
+  double max_device_params_ = 0.0;
 };
 
 /// The PipelineTrainer's program generation: a synthetic ModelDesc whose

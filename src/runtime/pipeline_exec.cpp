@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstring>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -95,7 +96,7 @@ void PipelineTrainer::init(const DdpmProblem& problem,
   if (config_.fault.armed()) {
     arm_fault(config_.fault);
   }
-  interpreter_.emplace(problem, *binding_, config_.global_batch);
+  interpreter_.emplace(problem, *binding_, config_.global_batch, *probe);
   for (int g = 0; g < config_.data_parallel_degree; ++g) {
     Replica replica;
     replica.net = problem.make_backbone();  // Same seed: identical weights.
@@ -183,7 +184,6 @@ void PipelineTrainer::train_one_iteration() {
   }
 
   std::vector<ProgramInterpreter::WaveInputs> wave(G);
-  std::vector<Tensor> sc_preds(G);
   for (int g = 0; g < G; ++g) {
     const int lo = g * per_replica;
     const DdpmProblem::Batch shard = slice_batch(batch, lo, lo + per_replica);
@@ -197,16 +197,19 @@ void PipelineTrainer::train_one_iteration() {
       wave[g].next_cond_raw = &next_batch.cond_raw;
       wave[g].next_cond = &next_cond;
     }
+  }
 
-    // Optional self-conditioning: a no-grad replay of the program's forward
-    // instructions whose last-stage outputs feed back into the trainable
-    // wave's inputs (Fig. 10).
-    if (sc_active) {
-      std::vector<Tensor> outputs =
-          interpreter_->forward_wave(states[g], wave[g]);
+  // Optional self-conditioning: a no-grad replay of the program's forward
+  // instructions, all replicas in one wave, whose last-stage outputs feed
+  // back into the trainable wave's inputs (Fig. 10).
+  std::vector<Tensor> sc_preds(G);
+  if (sc_active) {
+    std::vector<std::vector<Tensor>> outputs =
+        interpreter_->forward_wave(states, wave);
+    for (int g = 0; g < G; ++g) {
       sc_preds[g] = pool.acquire({per_replica, problem_->config().data_dim});
       float* dst = sc_preds[g].data();
-      for (Tensor& out : outputs) {
+      for (Tensor& out : outputs[g]) {
         dst = std::copy(out.data(), out.data() + out.numel(), dst);
         pool.release(std::move(out));
       }
@@ -626,18 +629,25 @@ Tensor read_tensor(std::istream& in) {
   const int ndim = read_value<int>(in, "tensor rank");
   DPIPE_REQUIRE(ndim >= 0 && ndim <= 4, "checkpoint tensor rank invalid");
   std::vector<int> shape(ndim);
+  std::int64_t numel = 1;
   for (int d = 0; d < ndim; ++d) {
     shape[d] = read_value<int>(in, "tensor dim");
     DPIPE_REQUIRE(shape[d] >= 0, "checkpoint tensor dim invalid");
+    DPIPE_REQUIRE(
+        shape[d] == 0 ||
+            numel <= std::numeric_limits<std::int64_t>::max() / shape[d],
+        "checkpoint tensor size overflows");
+    numel *= shape[d];
   }
-  Tensor t(shape);
-  float* data = t.data();
-  for (std::int64_t i = 0; i < t.numel(); ++i) {
+  // Storage grows with the payload actually read, never with the header's
+  // claim alone.
+  FloatStorage data;
+  for (std::int64_t i = 0; i < numel; ++i) {
     const std::uint64_t bits = read_hex(in, "tensor payload");
     DPIPE_REQUIRE(bits <= 0xFFFFFFFFull, "checkpoint tensor payload range");
-    data[i] = float_from_bits(static_cast<std::uint32_t>(bits));
+    data.push_back(float_from_bits(static_cast<std::uint32_t>(bits)));
   }
-  return t;
+  return Tensor::from_storage(std::move(shape), std::move(data));
 }
 
 void write_tensor_list(std::ostream& out, const std::vector<Tensor>& list) {
@@ -650,8 +660,7 @@ void write_tensor_list(std::ostream& out, const std::vector<Tensor>& list) {
 std::vector<Tensor> read_tensor_list(std::istream& in) {
   const std::size_t n = read_value<std::size_t>(in, "tensor list length");
   DPIPE_REQUIRE(n <= 1u << 20, "checkpoint tensor list length invalid");
-  std::vector<Tensor> list;
-  list.reserve(n);
+  std::vector<Tensor> list;  // Grows with the tensors actually read.
   for (std::size_t i = 0; i < n; ++i) {
     list.push_back(read_tensor(in));
   }

@@ -15,6 +15,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -33,14 +35,24 @@
 namespace {
 
 std::atomic<std::int64_t> g_allocations{0};
+std::atomic<std::size_t> g_largest{0};  ///< Largest single request seen.
+
+void count(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  std::size_t largest = g_largest.load(std::memory_order_relaxed);
+  while (largest < size &&
+         !g_largest.compare_exchange_weak(largest, size,
+                                          std::memory_order_relaxed)) {
+  }
+}
 
 void* counted_alloc(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  count(size);
   return std::malloc(size == 0 ? 1 : size);
 }
 
 void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  count(size);
   void* p = nullptr;
   const std::size_t alignment =
       std::max(static_cast<std::size_t>(align), sizeof(void*));
@@ -166,6 +178,23 @@ TEST(AllocBudget, ProfileDbRangeQueriesAllocateNothing) {
   });
   EXPECT_EQ(n, 0);
   EXPECT_GT(total, 0.0);
+}
+
+TEST(AllocBudget, CheckpointHeadersAllocateOnlyWhatIsRead) {
+  // Headers claiming a 30000 x 30000 tensor (3.4 GB) or a 2^20-tensor list
+  // (48 MB of tensor handles), followed by no payload, must be rejected
+  // without ever requesting the claimed size.
+  const std::string prefix =
+      "dpipe-checkpoint v1\niteration 0\nglobal_batch 1\n"
+      "data_parallel_degree 1\nreplica_divergence 0\nlosses 0\n"
+      "adam 0 t 0\npending_cond ";
+  for (const char* claim : {"1\ntensor 2 30000 30000\n", "1048576\n"}) {
+    SCOPED_TRACE(claim);
+    std::stringstream bad(prefix + claim);
+    g_largest.store(0);
+    EXPECT_THROW((void)rt::load_checkpoint(bad), std::invalid_argument);
+    EXPECT_LT(g_largest.load(), std::size_t{1} << 20);
+  }
 }
 
 // dpbench's train_small configuration (the repository's example trainer):

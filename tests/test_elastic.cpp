@@ -213,6 +213,19 @@ TEST(CheckpointIo, RejectsCorruptedInput) {
     std::stringstream bad;
     EXPECT_THROW(load_checkpoint(bad), std::invalid_argument);
   }
+  // Tensor headers that claim more than the payload holds: a 30000 x 30000
+  // tensor with no payload must fail without allocating its claimed
+  // 3.4 GB, and dims whose product overflows int64 must fail cleanly.
+  const std::string text = good.str();
+  const std::size_t header = text.find("tensor ");
+  ASSERT_NE(header, std::string::npos);
+  for (const char* claim :
+       {"tensor 2 30000 30000\n",
+        "tensor 4 2147483647 2147483647 2147483647 2147483647\n"}) {
+    SCOPED_TRACE(claim);
+    std::stringstream bad(text.substr(0, header) + claim);
+    EXPECT_THROW(load_checkpoint(bad), std::invalid_argument);
+  }
 }
 
 /// Elastic controller options for a 2-stage x 2-replica (world 4) run.

@@ -311,6 +311,24 @@ TEST(Interpreter, WaveExecSerialMatchesThreadedBitExact) {
                                       /*num_tasks=*/6);
   }
   {
+    // Cross-iteration off: the preamble runs as its own wave every
+    // iteration, next to the self-conditioning wave of both replicas.
+    DdpmConfig dc;
+    dc.self_conditioning = true;
+    dc.self_cond_prob = 0.5;
+    const DdpmProblem problem(dc);
+    PipelineRtConfig cfg;
+    cfg.num_stages = 3;
+    cfg.num_microbatches = 4;
+    cfg.data_parallel_degree = 2;
+    cfg.global_batch = 16;
+    cfg.cross_iteration = false;
+    cfg.lr = 0.01f;
+    cfg.record_execution = true;
+    expect_every_width_matches_serial(problem, cfg, nullptr, 8,
+                                      /*num_tasks=*/6);
+  }
+  {
     const WideProgram wide;
     expect_every_width_matches_serial(wide.problem, wide.cfg,
                                       &wide.lowering.program, 4,

@@ -11,7 +11,8 @@
 # stage-cost leases, concurrent request determinism), then an
 # AddressSanitizer+UBSan build running the process-pool, planner,
 # cascade-DP, stage-cost and plan-service suites plus the interpreter,
-# channel, trainer, fault and elastic suites, the check macros and the
+# channel, trainer, fault, elastic, equivalence, parity, interleaved and
+# reshard suites, the check macros and the
 # program/checkpoint/profile parsers, a socket-level request-storm smoke of
 # dpipe_plan_serve, and finally the repository benchmark's smoke test
 # (dpbench/), which builds the benchmark from these sources so an API it
@@ -47,10 +48,13 @@ cmake -B build-asan -S . -DDPIPE_SANITIZE=address,undefined
 cmake --build build-asan -j"$(nproc)" --target dpipe_tests
 # ErrorMacros, Serialize, CheckpointIo and ProfileDb put the out-of-line
 # check thrower and the parsers' rejection paths under ASan and UBSan.
+# Equivalence, Parity, Interleaved and Reshard run the preamble, the
+# self-conditioning and training waves and interleaved programs, so every
+# wave's owned channels, barriers and outputs are checked too.
 # dpipe_alloc_tests is not built here: it replaces the global operator new,
 # which the sanitizers own, so it runs only in the standard build's ctest.
 ./build-asan/tests/dpipe_tests \
-  --gtest_filter='ParallelFor.*:ProcessPool.*:PlannerSearch.*:Bidirectional.*:StageCostCache.*:StageCostStore.*:PlanFingerprint.*:PlanService.*:Interpreter.*:Channel.*:PipelineTrainer.*:Fault.*:Elastic.*:ErrorMacros.*:Serialize.*:CheckpointIo.*:ProfileDb.*:ProfileDbInterp.*'
+  --gtest_filter='ParallelFor.*:ProcessPool.*:PlannerSearch.*:Bidirectional.*:StageCostCache.*:StageCostStore.*:PlanFingerprint.*:PlanService.*:Interpreter.*:Channel.*:PipelineTrainer.*:Fault.*:Elastic.*:ErrorMacros.*:Serialize.*:CheckpointIo.*:ProfileDb.*:ProfileDbInterp.*:Equivalence.*:Parity.*:Interleaved.*:Reshard.*'
 
 echo "== tier-1: interleaved schedule smoke =="
 # The interleaved family exercises multi-virtual-stage device timelines on
