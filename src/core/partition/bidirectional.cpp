@@ -3,14 +3,10 @@
 #include <algorithm>
 #include <functional>
 #include <limits>
-#include <map>
 
-#include "common/pareto.h"
 #include "core/partition/stage_cache.h"
 
 namespace dpipe {
-
-namespace {
 
 PartitionOptions bidirectional_options(PartitionOptions opts) {
   // Communication in the two directions competes for links (§4.2).
@@ -18,19 +14,7 @@ PartitionOptions bidirectional_options(PartitionOptions opts) {
   return opts;
 }
 
-StagePlan make_stage(const PartitionOptions& opts, int lo, int hi,
-                     int chain_begin, int replicas) {
-  StagePlan stage;
-  stage.layer_begin = lo;
-  stage.layer_end = hi;
-  stage.replicas = replicas;
-  for (int i = 0; i < replicas; ++i) {
-    const int pos = chain_begin + i;
-    stage.device_ranks.push_back(
-        opts.device_ranks.empty() ? pos : opts.device_ranks[pos]);
-  }
-  return stage;
-}
+namespace {
 
 void check_bidirectional(const DpPartitioner& partitioner, int down_component,
                          int up_component, const PartitionOptions& opts) {
@@ -61,120 +45,23 @@ void check_bidirectional(const DpPartitioner& partitioner, int down_component,
 BiPartitionResult partition_bidirectional(const DpPartitioner& partitioner,
                                           int down_component,
                                           int up_component,
-                                          const PartitionOptions& opts_in,
+                                          const PartitionOptions& opts,
                                           StageCostCache* cache) {
-  check_bidirectional(partitioner, down_component, up_component, opts_in);
-  const PartitionOptions opts = bidirectional_options(opts_in);
-  const ModelDesc& model = partitioner.db().model();
-  const int Ld = model.components[down_component].num_layers();
-  const int Lu = model.components[up_component].num_layers();
-  const int S = opts.num_stages;
-  const int r = opts.group_size / S;
-  // Both pipelines contribute M micro-batches to the paired stable phase.
-  const int m_cdm = 2 * opts.num_microbatches;
-
-  // DP along the chain, front to back. Chain stage k holds down layers
-  // taken from the *front* of the down backbone and up layers taken from
-  // the *back* of the up backbone (the up pipeline's stage 0 sits at the
-  // chain end). State: (down layers placed, up layers placed-from-back).
-  struct Transition {
-    std::size_t prev_tag = 0;
-    int down_lo = 0, down_hi = 0;
-    int up_lo = 0, up_hi = 0;
-    int chain_begin = 0;
-  };
-  constexpr std::size_t kRootTag = std::numeric_limits<std::size_t>::max();
-  std::vector<Transition> transitions;
-
-  using StateKey = std::pair<int, int>;
-  std::vector<std::map<StateKey, ParetoFrontier>> frontiers(S + 1);
-  {
-    ParetoFrontier root;
-    root.insert({0.0, 0.0, kRootTag});
-    frontiers[0].emplace(StateKey{0, 0}, std::move(root));
-  }
-
-  // Up-stage costs of one DP state, indexed by take - 1. They depend only on
-  // (up_placed, take, chain_begin), so they are costed once per state rather
-  // than once per down-take they get paired with.
-  std::vector<StageCost> up_costs;
-  for (int s = 0; s < S; ++s) {
-    const int stages_left = S - s;
-    const int chain_begin = s * r;
-    for (const auto& [key, frontier] : frontiers[s]) {
-      const auto [down_placed, up_placed] = key;
-      const int max_down_take = Ld - down_placed - (stages_left - 1);
-      const int max_up_take = Lu - up_placed - (stages_left - 1);
-      // The last chain stage must take everything that is left.
-      const int min_up_take = stages_left == 1 ? max_up_take : 1;
-      // Up layers counted from the back: this chain stage holds
-      // [up_hi - ut, up_hi).
-      const int up_hi = Lu - up_placed;
-      up_costs.resize(max_up_take);
-      for (int ut = min_up_take; ut <= max_up_take; ++ut) {
-        up_costs[ut - 1] =
-            partitioner.stage_cost(up_component, up_hi - ut, up_hi, r,
-                                   chain_begin, opts, PipeDirection::kUp,
-                                   cache);
-      }
-      for (int dt = 1; dt <= max_down_take; ++dt) {
-        if (stages_left == 1 && down_placed + dt != Ld) {
-          continue;
-        }
-        const int down_lo = down_placed;
-        const int down_hi = down_placed + dt;
-        const StageCost down_cost = partitioner.stage_cost(
-            down_component, down_lo, down_hi, r, chain_begin, opts,
-            PipeDirection::kDown, cache);
-        for (int ut = min_up_take; ut <= max_up_take; ++ut) {
-          const StageCost& up_cost = up_costs[ut - 1];
-          const double t0 = std::max(down_cost.t0_ms, up_cost.t0_ms);
-          const double y = std::max(down_cost.y_ms, up_cost.y_ms);
-          ParetoFrontier& target = frontiers[s + 1][{down_hi, up_placed + ut}];
-          for (const ParetoPoint& p : frontier.points()) {
-            ParetoPoint next;
-            next.w = std::max(p.w, t0);
-            next.y = std::max(p.y, y);
-            next.tag = transitions.size();
-            if (target.insert(next)) {
-              transitions.push_back(
-                  {p.tag, down_lo, down_hi, up_hi - ut, up_hi, chain_begin});
-            }
-          }
-        }
-      }
-    }
-  }
-
-  const auto final_it = frontiers[S].find({Ld, Lu});
-  DPIPE_ENSURE(final_it != frontiers[S].end() && !final_it->second.empty(),
-               "bidirectional DP found no feasible assignment");
-  const double coeff = static_cast<double>(m_cdm) + 2.0 * S - 2.0;
-  const ParetoPoint best = final_it->second.best(coeff);
-
+  check_bidirectional(partitioner, down_component, up_component, opts);
+  // Chain stage k holds down stage k and up stage S-1-k (the up pipeline's
+  // stage 0 sits at the chain end).
+  ChainPartitionResult chain = partitioner.partition_chain(
+      {{down_component, PipeDirection::kDown},
+       {up_component, PipeDirection::kUp}},
+      bidirectional_options(opts), cache);
   BiPartitionResult result;
-  result.t0_ms = best.w;
-  result.y_ms = best.y;
-  result.m_cdm = m_cdm;
-  result.upper_bound_ms = coeff * best.w + best.y;
-
-  std::size_t tag = best.tag;
-  while (tag != kRootTag) {
-    DPIPE_ENSURE(tag < transitions.size(), "dangling DP backpointer");
-    const Transition& t = transitions[tag];
-    result.down_stages.push_back(
-        make_stage(opts, t.down_lo, t.down_hi, t.chain_begin, r));
-    result.up_stages.push_back(
-        make_stage(opts, t.up_lo, t.up_hi, t.chain_begin, r));
-    tag = transitions[tag].prev_tag;
-  }
-  // Transitions were walked last-chain-stage first. Down pipeline order ==
-  // chain order; up pipeline order is reverse chain order, which is exactly
-  // the walk order — so only the down list needs reversing.
-  std::reverse(result.down_stages.begin(), result.down_stages.end());
-  DPIPE_ENSURE(static_cast<int>(result.down_stages.size()) == S &&
-                   static_cast<int>(result.up_stages.size()) == S,
-               "reconstructed stage count mismatch");
+  result.down_stages = std::move(chain.lanes[0]);
+  result.up_stages = std::move(chain.lanes[1]);
+  result.t0_ms = chain.t0_ms;
+  result.y_ms = chain.y_ms;
+  // Both pipelines contribute M micro-batches to the paired stable phase.
+  result.m_cdm = 2 * opts.num_microbatches;
+  result.upper_bound_ms = chain.upper_bound_ms;
   return result;
 }
 
@@ -217,10 +104,10 @@ BiPartitionResult brute_force_bidirectional(const DpPartitioner& partitioner,
         const StageCost uc = partitioner.stage_cost(
             up_component, up_hi - up_counts[s], up_hi, r, chain_begin, opts,
             PipeDirection::kUp, cache);
-        down_stages.push_back(
-            make_stage(opts, dl, dl + down_counts[s], chain_begin, r));
-        up_stages.push_back(make_stage(opts, up_hi - up_counts[s], up_hi,
-                                       chain_begin, r));
+        down_stages.push_back(partitioner.make_stage(
+            opts, dl, dl + down_counts[s], chain_begin, r));
+        up_stages.push_back(partitioner.make_stage(
+            opts, up_hi - up_counts[s], up_hi, chain_begin, r));
         dl += down_counts[s];
         up_hi -= up_counts[s];
         w = std::max({w, dc.t0_ms, uc.t0_ms});

@@ -19,14 +19,20 @@ struct BiPartitionResult {
   double upper_bound_ms = 0.0;  ///< (M_CDM + 2S - 2) * W + Y (Eqn 12).
 };
 
+/// The options a bidirectional chain is priced under, by the partitioner
+/// and the schedule builder alike: inter-stage communication is charged
+/// the x2 competition factor of §4.2 (the two directions share links),
+/// whatever `opts.comm_competition_factor` says.
+[[nodiscard]] PartitionOptions bidirectional_options(PartitionOptions opts);
+
 /// Co-partitions two backbones of a cascaded diffusion model with
-/// bidirectional pipelining: chain stage k hosts down-backbone stage k and
-/// up-backbone stage S-1-k on the same devices. Uniform replication only
-/// (r = D / S); inter-stage communication is charged the x2 competition
-/// factor of §4.2 regardless of `opts.comm_competition_factor`. A non-null
-/// `cache` memoizes stage costs (keyed per direction); note it binds to the
-/// competition-adjusted options, so only share it with consumers that apply
-/// the same x2 factor (the bidirectional builder does).
+/// bidirectional pipelining: the chain DP (DpPartitioner::partition_chain)
+/// over a down lane and an up lane, so chain stage k hosts down-backbone
+/// stage k and up-backbone stage S-1-k on the same devices. Uniform
+/// replication only (r = D / S), under bidirectional_options(opts). A
+/// non-null `cache` memoizes stage costs (keyed per direction); it binds
+/// to those options, which build_bidirectional applies too, so the two
+/// can share it.
 [[nodiscard]] BiPartitionResult partition_bidirectional(
     const DpPartitioner& partitioner, int down_component, int up_component,
     const PartitionOptions& opts, StageCostCache* cache = nullptr);

@@ -60,16 +60,7 @@ PartitionResult brute_force_partition(const DpPartitioner& partitioner,
       costs.push_back(partitioner.stage_cost(backbone_component, lo, hi, r,
                                              chain, opts,
                                              PipeDirection::kDown, cache));
-      StagePlan plan;
-      plan.layer_begin = lo;
-      plan.layer_end = hi;
-      plan.replicas = r;
-      for (int i = 0; i < r; ++i) {
-        plan.device_ranks.push_back(
-            opts.device_ranks.empty() ? chain + i
-                                      : opts.device_ranks[chain + i]);
-      }
-      stages.push_back(std::move(plan));
+      stages.push_back(partitioner.make_stage(opts, lo, hi, chain, r));
       layer = hi;
       chain += r;
     }

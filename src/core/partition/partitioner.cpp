@@ -1,6 +1,9 @@
 #include "core/partition/partitioner.h"
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
+#include <iterator>
 #include <limits>
 #include <map>
 
@@ -181,73 +184,169 @@ double DpPartitioner::objective(const std::vector<StageCost>& stages,
   return coeff * w + y + feedback_ms(backbone_component, opts);
 }
 
+StagePlan DpPartitioner::make_stage(const PartitionOptions& opts, int lo,
+                                     int hi, int chain_begin,
+                                     int replicas) const {
+  StagePlan stage;
+  stage.layer_begin = lo;
+  stage.layer_end = hi;
+  stage.replicas = replicas;
+  for (int i = 0; i < replicas; ++i) {
+    stage.device_ranks.push_back(rank_at(opts, chain_begin + i));
+  }
+  return stage;
+}
+
 PartitionResult DpPartitioner::partition_single(
     int backbone_component, const PartitionOptions& opts,
     StageCostCache* cache) const {
-  check_options(backbone_component, opts);
-  const int L = db_->model().components[backbone_component].num_layers();
+  ChainPartitionResult chain = partition_chain(
+      {{backbone_component, PipeDirection::kDown}}, opts, cache);
+  PartitionResult result;
+  result.stages = std::move(chain.lanes[0]);
+  result.t0_ms = chain.t0_ms;
+  result.y_ms = chain.y_ms;
+  result.feedback_ms = feedback_ms(backbone_component, opts);
+  result.upper_bound_ms = chain.upper_bound_ms + result.feedback_ms;
+  return result;
+}
+
+ChainPartitionResult DpPartitioner::partition_chain(
+    const std::vector<ChainLane>& lanes, const PartitionOptions& opts,
+    StageCostCache* cache) const {
+  constexpr int kMaxLanes = 2;
+  const int num_lanes = static_cast<int>(lanes.size());
+  DPIPE_REQUIRE(num_lanes >= 1 && num_lanes <= kMaxLanes,
+                "a device chain holds one or two lanes");
+  for (const ChainLane& lane : lanes) {
+    check_options(lane.component, opts);
+  }
   const int S = opts.num_stages;
   const int D = opts.group_size;
+  std::array<int, kMaxLanes> L{};  // Layers per lane; 0 past the last lane.
+  for (int l = 0; l < num_lanes; ++l) {
+    L[l] = db_->model().components[lanes[l].component].num_layers();
+  }
 
-  // DP over states (layers placed, devices used) per stage count, keeping a
-  // Pareto frontier of (W = max T0, Y = max gap) with backpointers. Stages
-  // are appended front-to-back along the device chain; this is the mirror
-  // image of the paper's last-stage-first recursion (Eqns 7-8) and explores
-  // the same assignment space.
+  // DP over states (layers placed per lane, devices used) per chain-stage
+  // count, keeping a Pareto frontier of (W = max T0, Y = max gap) with
+  // backpointers. Chain stages are appended front to back; this is the
+  // mirror image of the paper's last-stage-first recursion (Eqns 7-8) and
+  // explores the same assignment space. A down lane's next stage takes the
+  // layers after those it has placed, an up lane's the layers before them
+  // (counted from the back).
   struct Transition {
     std::size_t prev_tag = 0;
-    int layer_begin = 0;
-    int layer_end = 0;
-    int replicas = 0;
     int chain_begin = 0;
+    int replicas = 0;
+    std::array<int, kMaxLanes> lo{};
+    std::array<int, kMaxLanes> hi{};
   };
   constexpr std::size_t kRootTag = std::numeric_limits<std::size_t>::max();
   std::vector<Transition> transitions;
 
-  using StateKey = std::pair<int, int>;  // (layers placed, devices used)
-  std::vector<std::map<StateKey, ParetoFrontier>> frontiers(S + 1);
+  // State keys pack (placed_0, placed_1, devices) so that map order is
+  // their lexicographic order.
+  constexpr int kFieldBits = 21;
+  constexpr std::uint64_t kFieldMask = (std::uint64_t{1} << kFieldBits) - 1;
+  DPIPE_REQUIRE(std::max({L[0], L[1], D}) <= static_cast<int>(kFieldMask),
+                "chain too long for the DP state key");
+  const auto state_key = [](int placed0, int placed1, int devices) {
+    return (static_cast<std::uint64_t>(placed0) << (2 * kFieldBits)) |
+           (static_cast<std::uint64_t>(placed1) << kFieldBits) |
+           static_cast<std::uint64_t>(devices);
+  };
+  std::vector<std::map<std::uint64_t, ParetoFrontier>> frontiers(S + 1);
   {
     ParetoFrontier root;
     root.insert({0.0, 0.0, kRootTag});
-    frontiers[0].emplace(StateKey{0, 0}, std::move(root));
+    frontiers[0].emplace(state_key(0, 0, 0), std::move(root));
   }
 
+  // First layer of the `take` layers a lane's next stage holds, given the
+  // layers it has placed.
+  const auto stage_lo = [&](int l, int placed, int take) {
+    return lanes[l].direction == PipeDirection::kDown ? placed
+                                                      : L[l] - placed - take;
+  };
   const int uniform_r = opts.force_uniform_replicas ? D / S : 0;
-
-  const double scalarize_coeff =
-      static_cast<double>(opts.num_microbatches) + 2.0 * S - 2.0;
+  const double coeff =
+      static_cast<double>(num_lanes * opts.num_microbatches) + 2.0 * S - 2.0;
+  // Each lane's stage costs of one (state, replica count), indexed by
+  // take - 1: costed once, then paired with every take of the other lane.
+  std::array<std::vector<StageCost>, kMaxLanes> costs;
   for (int s = 0; s < S; ++s) {
+    const int stages_left = S - s;
+    const bool last = stages_left == 1;
     for (auto& [key, frontier] : frontiers[s]) {
       if (opts.scalarize_dp_states && frontier.size() > 1) {
         // Ablation mode: keep only the scalarized-best point per state.
         ParetoFrontier pruned;
-        pruned.insert(frontier.best(scalarize_coeff));
+        pruned.insert(frontier.best(coeff));
         frontier = std::move(pruned);
       }
-      const auto [layers_placed, devices_used] = key;
-      const int stages_left = S - s;
-      // Each remaining stage needs at least one layer and one device.
-      const int max_end = L - (stages_left - 1);
-      for (int end = layers_placed + 1; end <= max_end; ++end) {
-        const int r_lo = opts.force_uniform_replicas ? uniform_r : 1;
-        const int r_hi = opts.force_uniform_replicas
-                             ? uniform_r
-                             : D - devices_used - (stages_left - 1);
-        for (int r = r_lo; r <= r_hi; ++r) {
-          if (stages_left == 1 && (end != L || devices_used + r != D)) {
-            continue;  // Last stage must consume all layers and devices.
+      const std::array<int, kMaxLanes> placed{
+          static_cast<int>(key >> (2 * kFieldBits)),
+          static_cast<int>((key >> kFieldBits) & kFieldMask)};
+      const int devices_used = static_cast<int>(key & kFieldMask);
+      // Each remaining chain stage needs at least one layer of every lane
+      // and one device; the last one takes everything that is left.
+      std::array<int, kMaxLanes> min_take{};
+      std::array<int, kMaxLanes> max_take{};
+      for (int l = 0; l < num_lanes; ++l) {
+        max_take[l] = L[l] - placed[l] - (stages_left - 1);
+        min_take[l] = last ? max_take[l] : 1;
+      }
+      const int r_hi = opts.force_uniform_replicas
+                           ? uniform_r
+                           : D - devices_used - (stages_left - 1);
+      const int r_lo =
+          opts.force_uniform_replicas ? uniform_r : (last ? r_hi : 1);
+      for (int r = r_lo; r <= r_hi; ++r) {
+        for (int l = 0; l < num_lanes; ++l) {
+          costs[l].resize(static_cast<std::size_t>(max_take[l]));
+          for (int take = min_take[l]; take <= max_take[l]; ++take) {
+            const int lo = stage_lo(l, placed[l], take);
+            costs[l][take - 1] =
+                stage_cost(lanes[l].component, lo, lo + take, r, devices_used,
+                           opts, lanes[l].direction, cache);
           }
-          const StageCost sc =
-              stage_cost(backbone_component, layers_placed, end, r,
-                         devices_used, opts, PipeDirection::kDown, cache);
-          for (const ParetoPoint& p : frontier.points()) {
-            ParetoPoint next;
-            next.w = std::max(p.w, sc.t0_ms);
-            next.y = std::max(p.y, sc.y_ms);
-            next.tag = transitions.size();
-            if (frontiers[s + 1][{end, devices_used + r}].insert(next)) {
-              transitions.push_back(
-                  {p.tag, layers_placed, end, r, devices_used});
+        }
+        // A one-lane chain pairs every take with the single empty take of
+        // the absent second lane. Target keys rise with (t0, t1), so each
+        // lookup starts from the slot after the previous target.
+        auto& next_states = frontiers[s + 1];
+        auto hint = next_states.end();
+        for (int t0 = min_take[0]; t0 <= max_take[0]; ++t0) {
+          for (int t1 = min_take[1]; t1 <= max_take[1]; ++t1) {
+            double w = costs[0][t0 - 1].t0_ms;
+            double y = costs[0][t0 - 1].y_ms;
+            if (num_lanes > 1) {
+              w = std::max(w, costs[1][t1 - 1].t0_ms);
+              y = std::max(y, costs[1][t1 - 1].y_ms);
+            }
+            const auto target_it = next_states.try_emplace(
+                hint,
+                state_key(placed[0] + t0, placed[1] + t1, devices_used + r));
+            hint = std::next(target_it);
+            ParetoFrontier& target = target_it->second;
+            for (const ParetoPoint& p : frontier.points()) {
+              ParetoPoint next;
+              next.w = std::max(p.w, w);
+              next.y = std::max(p.y, y);
+              next.tag = transitions.size();
+              if (target.insert(next)) {
+                Transition t;
+                t.prev_tag = p.tag;
+                t.chain_begin = devices_used;
+                t.replicas = r;
+                const std::array<int, kMaxLanes> take{t0, t1};
+                for (int l = 0; l < num_lanes; ++l) {
+                  t.lo[l] = stage_lo(l, placed[l], take[l]);
+                  t.hi[l] = t.lo[l] + take[l];
+                }
+                transitions.push_back(t);
+              }
             }
           }
         }
@@ -255,38 +354,52 @@ PartitionResult DpPartitioner::partition_single(
     }
   }
 
-  const auto final_it = frontiers[S].find({L, D});
+  const auto final_it = frontiers[S].find(state_key(L[0], L[1], D));
   DPIPE_ENSURE(final_it != frontiers[S].end() && !final_it->second.empty(),
                "partition DP found no feasible assignment");
-  const double coeff =
-      static_cast<double>(opts.num_microbatches) + 2.0 * S - 2.0;
   const ParetoPoint best = final_it->second.best(coeff);
 
-  PartitionResult result;
+  ChainPartitionResult result;
   result.t0_ms = best.w;
   result.y_ms = best.y;
-  result.feedback_ms = feedback_ms(backbone_component, opts);
-  result.upper_bound_ms = coeff * best.w + best.y + result.feedback_ms;
+  result.upper_bound_ms = coeff * best.w + best.y;
+  result.lanes.resize(static_cast<std::size_t>(num_lanes));
 
-  // Walk backpointers (stages come out last-first).
+  // Walk backpointers: chain stages come out last-first, which is an up
+  // lane's pipeline order; down lanes are reversed afterwards.
   std::size_t tag = best.tag;
   while (tag != kRootTag) {
     DPIPE_ENSURE(tag < transitions.size(), "dangling DP backpointer");
     const Transition& t = transitions[tag];
-    StagePlan stage;
-    stage.layer_begin = t.layer_begin;
-    stage.layer_end = t.layer_end;
-    stage.replicas = t.replicas;
-    for (int i = 0; i < t.replicas; ++i) {
-      stage.device_ranks.push_back(rank_at(opts, t.chain_begin + i));
+    for (int l = 0; l < num_lanes; ++l) {
+      result.lanes[l].push_back(
+          make_stage(opts, t.lo[l], t.hi[l], t.chain_begin, t.replicas));
     }
-    result.stages.push_back(std::move(stage));
     tag = t.prev_tag;
   }
-  std::reverse(result.stages.begin(), result.stages.end());
-  DPIPE_ENSURE(static_cast<int>(result.stages.size()) == S,
-               "reconstructed stage count mismatch");
+  for (int l = 0; l < num_lanes; ++l) {
+    if (lanes[l].direction == PipeDirection::kDown) {
+      std::reverse(result.lanes[l].begin(), result.lanes[l].end());
+    }
+    DPIPE_ENSURE(static_cast<int>(result.lanes[l].size()) == S,
+                 "reconstructed stage count mismatch");
+  }
   return result;
+}
+
+PartitionOptions interleaved_chain_options(PartitionOptions opts,
+                                           int chain_stages) {
+  const int devices = opts.group_size;
+  if (opts.dp_rank_stride <= 0) {
+    opts.dp_rank_stride = devices;
+  }
+  opts.num_stages = chain_stages;
+  opts.group_size = chain_stages;
+  opts.device_ranks.resize(static_cast<std::size_t>(chain_stages));
+  for (int s = 0; s < chain_stages; ++s) {
+    opts.device_ranks[s] = s % devices;
+  }
+  return opts;
 }
 
 }  // namespace dpipe

@@ -42,7 +42,8 @@ struct PartitionOptions {
   /// length while the DP replicas of a device are still D ranks apart.
   int dp_rank_stride = 0;
   /// Multiplier on inter-stage communication time; bidirectional pipelining
-  /// sets 2.0 for link competition between the two directions (§4.2).
+  /// sets 2.0 for link competition between the two directions (§4.2,
+  /// bidirectional_options).
   double comm_competition_factor = 1.0;
   /// Ablation: collapse each DP state's Pareto frontier of (W, Y) pairs to
   /// the single scalarized-best point, as a naive reading of Eqn (2) would.
@@ -54,11 +55,29 @@ struct PartitionOptions {
                          const PartitionOptions&) = default;
 };
 
+/// The options an interleaved plan is partitioned and timed under: its
+/// `chain_stages` (= S * V) virtual stages sit on a synthetic chain of that
+/// length whose position s is physical device s % opts.group_size, and
+/// whose data-parallel replicas stay opts.group_size global ranks apart.
+/// The planner's DP and ScheduleBuilder::build_interleaved both use it, so
+/// the builder finds the DP's stage costs under the same cache keys
+/// (chain_begin == s, one replica).
+[[nodiscard]] PartitionOptions interleaved_chain_options(
+    PartitionOptions opts, int chain_stages);
+
 /// Which way a backbone pipelines along the device chain (§4.2). Down
 /// pipelines flow from chain position 0 upward; up pipelines flow from the
 /// chain end downward, so their incoming stage boundary sits on the
 /// high-chain side.
 enum class PipeDirection { kDown, kUp };
+
+/// One backbone laid along the shared device chain. A down lane takes its
+/// layers from the front of the backbone as the chain advances; an up lane
+/// takes them from the back, so its pipeline stage 0 sits at the chain end.
+struct ChainLane {
+  int component = 0;
+  PipeDirection direction = PipeDirection::kDown;
+};
 
 /// Result of the single-backbone dynamic program (§4.1).
 struct PartitionResult {
@@ -67,6 +86,17 @@ struct PartitionResult {
   double y_ms = 0.0;              ///< Y at the optimum (max T_S - T_C gap).
   double feedback_ms = 0.0;       ///< Expected self-conditioning T_F term.
   double upper_bound_ms = 0.0;    ///< (M + 2S - 2) * W + Y + p * T_F.
+};
+
+/// Result of the chain DP: one stage list per lane, each in its own
+/// pipeline order (a down lane's stage 0 at chain position 0, an up lane's
+/// at the chain end). Chain stage k holds one stage of every lane on the
+/// same replicas.
+struct ChainPartitionResult {
+  std::vector<std::vector<StagePlan>> lanes;
+  double t0_ms = 0.0;           ///< W: max stage/comm time over all lanes.
+  double y_ms = 0.0;            ///< Y: max T_S - T_C gap over all lanes.
+  double upper_bound_ms = 0.0;  ///< (lanes * M + 2S - 2) * W + Y.
 };
 
 /// Per-stage cost terms, exposed for tests and the schedule builder.
@@ -89,12 +119,23 @@ class DpPartitioner {
  public:
   DpPartitioner(const ProfileDb& db, const CommModel& comm);
 
-  /// Optimal partition of a single backbone component (§4.1, Eqns 1-9).
-  /// A non-null `cache` memoizes stage costs across DP states (and can be
-  /// shared with the schedule builder afterwards); results are bit-identical
-  /// with and without it.
+  /// Optimal partition of a single backbone component (§4.1, Eqns 1-9):
+  /// the chain DP over one down lane, plus the self-conditioning feedback
+  /// term. A non-null `cache` memoizes stage costs across DP states (and
+  /// can be shared with the schedule builder afterwards); results are
+  /// bit-identical with and without it.
   [[nodiscard]] PartitionResult partition_single(
       int backbone_component, const PartitionOptions& opts,
+      StageCostCache* cache = nullptr) const;
+
+  /// The one partition DP (§4.1-4.2): splits every lane (one or two
+  /// backbones) into opts.num_stages stages along the device chain, chain
+  /// stage k holding one stage of each lane on the same replicas. W and Y
+  /// combine by max over lanes; the frontier is scalarized by
+  /// (lanes * M + 2S - 2) * W + Y. Throws std::invalid_argument on
+  /// options partition_single would reject for any lane; `cache` as above.
+  [[nodiscard]] ChainPartitionResult partition_chain(
+      const std::vector<ChainLane>& lanes, const PartitionOptions& opts,
       StageCostCache* cache = nullptr) const;
 
   /// Cost terms of stage [lo, hi) of `backbone_component` on `replicas`
@@ -114,6 +155,13 @@ class DpPartitioner {
   [[nodiscard]] double objective(const std::vector<StageCost>& stages,
                                  int backbone_component,
                                  const PartitionOptions& opts) const;
+
+  /// Stage [lo, hi) on chain slots [chain_begin, chain_begin + replicas),
+  /// with the ranks opts.device_ranks gives those slots (shared with the
+  /// brute-force oracles).
+  [[nodiscard]] StagePlan make_stage(const PartitionOptions& opts, int lo,
+                                     int hi, int chain_begin,
+                                     int replicas) const;
 
   /// Expected feedback-communication term p * T_F (0 without self-cond).
   [[nodiscard]] double feedback_ms(int backbone_component,

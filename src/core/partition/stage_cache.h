@@ -15,12 +15,13 @@
 namespace dpipe {
 
 /// Memoizes DpPartitioner::stage_cost results for one fixed (ProfileDb,
-/// CommModel, PartitionOptions) context. The DP partitioner revisits the
-/// same (lo, hi, replicas, chain_begin) tuple from many DP states (and the
-/// bidirectional DP re-costs each down-stage under every up-placement it
-/// pairs it with), the brute-force oracle re-enumerates the same stages,
-/// and the schedule builder re-derives the chosen stages' timings — all of
-/// which collapse to one computation per distinct key here.
+/// CommModel, PartitionOptions) context. The chain DP revisits the same
+/// (lo, hi, replicas, chain_begin, direction) tuple from many DP states
+/// (with two lanes, every state that shares one lane's placed count
+/// re-costs that lane's takes), the brute-force oracle re-enumerates the
+/// same stages, and the schedule builder re-derives the chosen stages'
+/// timings — all of which collapse to one computation per distinct key
+/// here.
 ///
 /// A cache is only valid for the PartitionOptions it was first used with:
 /// the first bind() snapshots every option field stage_cost reads, and
@@ -29,9 +30,9 @@ namespace dpipe {
 /// evaluation is safe, while accidental reuse across configurations is a
 /// hard error instead of silent wrong numbers.
 ///
-/// Not thread-safe: use one cache per thread (the planner creates one per
-/// bidirectional (S, M, D) evaluation, each of which runs on a single
-/// search thread).
+/// Not thread-safe: use one cache per thread (without a StageCostStore the
+/// planner creates one per two-lane (S, M, D) evaluation, each of which
+/// runs on a single search thread).
 class StageCostCache {
  public:
   struct Key {

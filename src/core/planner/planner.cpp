@@ -192,32 +192,16 @@ std::optional<Planner::Evaluation> Planner::evaluate(
   Schedule schedule;
   if (V > 1) {
     // Interleaved placement: partition the backbone into S*V virtual
-    // stages over a synthetic identity chain (one replica per virtual
-    // stage, so the DP and the stage-cost cache see chain positions
-    // 0..S*V-1 — exactly the keys interleaved_stage_timings looks up),
-    // then remap the virtual chain round-robin onto the S physical
+    // stages over the synthetic chain of interleaved_chain_options (one
+    // replica per virtual stage, chain position s on physical device
+    // s % D), so its stages come out already placed round-robin on the S
     // devices.
     const int St = S * V;
-    PartitionOptions chain_opts = opts;
-    chain_opts.num_stages = St;
-    chain_opts.group_size = St;
-    // Chain position s lives on physical device s % D, and a device's DP
-    // replicas are still D global ranks apart — so boundary links and
-    // allreduce groups are costed against the real placement even though
-    // the chain itself has S*V positions.
-    chain_opts.device_ranks.resize(St);
-    for (int s = 0; s < St; ++s) {
-      chain_opts.device_ranks[s] = s % D;
-    }
-    chain_opts.dp_rank_stride = D;
     const PartitionResult part = partitioner.partition_single(
-        model_.backbone_ids[0], chain_opts, cache_ptr);
-    std::vector<StagePlan> stages = part.stages;
-    for (int s = 0; s < St; ++s) {
-      stages[s].device_ranks = {s % D};
-    }
+        model_.backbone_ids[0], interleaved_chain_options(opts, St),
+        cache_ptr);
     opts.num_stages = St;
-    schedule = builder.build_interleaved(model_.backbone_ids[0], stages,
+    schedule = builder.build_interleaved(model_.backbone_ids[0], part.stages,
                                          opts, cache_ptr);
   } else if (model_.backbone_ids.size() == 1) {
     const PartitionResult part = partitioner.partition_single(

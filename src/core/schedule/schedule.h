@@ -105,8 +105,12 @@ struct Schedule {
 [[nodiscard]] double bubble_ratio(const Schedule& schedule,
                                   const std::vector<Bubble>& bubbles);
 
-/// Builds pipeline schedules from a partition. All builders model
-/// inter-stage communication as link latency (devices stay free) and
+/// Builds pipeline schedules from a partition. Every family is one
+/// assembly: the build_* methods only say which executor runs each stage
+/// of each backbone (lane) and whether queues run 1F1B or GPipe order;
+/// each executor then gets one queue per stage it hosts, lanes in order
+/// and then stages ascending, and interleaves them greedily. All families
+/// model inter-stage communication as link latency (devices stay free) and
 /// gradient synchronization as link ops that extend the makespan but can
 /// overlap bubble-filled compute (§2.3, §6.1). Self-conditioning is modeled
 /// in expectation: forward durations and boundary transfers scale by
@@ -137,9 +141,11 @@ class ScheduleBuilder {
   /// stages round-robin — stage s runs on device s % group_size — so every
   /// stage must have exactly one replica and opts.num_stages must equal
   /// stages.size() (= V * group_size). Each device interleaves its owned
-  /// stages' 1F1B queues greedily. With V == 1 the result is bit-identical
-  /// to build_1f1b; V > 1 needs group_size >= 2 (a device never sends to
-  /// itself).
+  /// stages' 1F1B queues greedily. Stages are timed under
+  /// interleaved_chain_options(opts, stages.size()), the chain the planner
+  /// partitions, so a `cache` from that DP is reused. With V == 1 the
+  /// result is bit-identical to build_1f1b; V > 1 needs group_size >= 2 (a
+  /// device never sends to itself).
   [[nodiscard]] Schedule build_interleaved(int backbone_component,
                                            const std::vector<StagePlan>&
                                                stages,
@@ -150,8 +156,9 @@ class ScheduleBuilder {
   /// Bidirectional schedule (paper Fig. 3): down backbone stage k and up
   /// backbone stage S-1-k share chain position k. Up stages must be given
   /// in up-pipeline order (stage 0 at the chain end), as produced by
-  /// partition_bidirectional(). `cache` must have been populated under the
-  /// x2 competition factor (partition_bidirectional does).
+  /// partition_bidirectional(). Priced under bidirectional_options(opts),
+  /// like the DP, so `cache` may come from partition_bidirectional and
+  /// opts.comm_competition_factor does not change the schedule.
   [[nodiscard]] Schedule build_bidirectional(
       int down_component, const std::vector<StagePlan>& down_stages,
       int up_component, const std::vector<StagePlan>& up_stages,
@@ -171,7 +178,7 @@ class ScheduleBuilder {
 
 namespace detail {
 
-/// An operation before time resolution: used by the builders.
+/// An operation before time resolution: used by the schedule assembly.
 struct ProtoOp {
   OpKind kind = OpKind::kForward;
   int backbone = 0;

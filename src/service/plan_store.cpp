@@ -1,9 +1,12 @@
 #include "service/plan_store.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -16,12 +19,28 @@ namespace fs = std::filesystem;
 
 namespace {
 
+/// A finite `<key><number>` field.
 double field(std::istream& in, const std::string& key) {
   std::string token;
   DPIPE_REQUIRE(static_cast<bool>(in >> token) && token.size() > key.size() &&
                     token.compare(0, key.size(), key) == 0,
                 "malformed plan field, expected " + key);
-  return std::stod(token.substr(key.size()));
+  const char* end = token.data() + token.size();
+  double value = 0.0;
+  const auto [ptr, ec] =
+      std::from_chars(token.data() + key.size(), end, value);
+  DPIPE_REQUIRE(ec == std::errc() && ptr == end && std::isfinite(value),
+                "malformed plan field " + key);
+  return value;
+}
+
+/// A `<key><number>` field that must fit an int.
+int int_field(std::istream& in, const std::string& key) {
+  const double value = field(in, key);
+  DPIPE_REQUIRE(value >= std::numeric_limits<int>::min() &&
+                    value <= std::numeric_limits<int>::max(),
+                "plan field out of range: " + key);
+  return static_cast<int>(value);
 }
 
 void expect_keyword(std::istream& in, const std::string& keyword) {
@@ -46,10 +65,16 @@ std::string read_sized_block(std::istream& in, const std::string& keyword) {
                 "malformed " + keyword + " size");
   std::string line;
   std::getline(in, line);  // Consume the header's newline.
-  std::string block(bytes, '\0');
-  in.read(block.data(), static_cast<std::streamsize>(bytes));
-  DPIPE_REQUIRE(static_cast<std::size_t>(in.gcount()) == bytes,
-                "truncated " + keyword + " block");
+  // Grow with the bytes actually read, never with the claimed size: a
+  // hostile header must not buy an allocation its payload does not back.
+  std::string block;
+  char chunk[4096];
+  while (block.size() < bytes && in) {
+    in.read(chunk, static_cast<std::streamsize>(
+                       std::min(sizeof chunk, bytes - block.size())));
+    block.append(chunk, static_cast<std::size_t>(in.gcount()));
+  }
+  DPIPE_REQUIRE(block.size() == bytes, "truncated " + keyword + " block");
   return block;
 }
 
@@ -73,22 +98,23 @@ void write_partition_opts(std::ostream& out, const PartitionOptions& opts) {
 PartitionOptions read_partition_opts(std::istream& in) {
   expect_keyword(in, "popts");
   PartitionOptions opts;
-  opts.num_stages = static_cast<int>(field(in, "s="));
-  opts.num_microbatches = static_cast<int>(field(in, "m="));
-  opts.group_size = static_cast<int>(field(in, "d="));
-  opts.data_parallel_degree = static_cast<int>(field(in, "dp="));
+  opts.num_stages = int_field(in, "s=");
+  opts.num_microbatches = int_field(in, "m=");
+  opts.group_size = int_field(in, "d=");
+  opts.data_parallel_degree = int_field(in, "dp=");
   opts.microbatch_size = field(in, "mb=");
   opts.self_conditioning = field(in, "sc=") != 0.0;
   opts.self_cond_prob = field(in, "scp=");
   opts.force_uniform_replicas = field(in, "fur=") != 0.0;
   opts.comm_competition_factor = field(in, "ccf=");
   opts.scalarize_dp_states = field(in, "sds=") != 0.0;
-  opts.dp_rank_stride = static_cast<int>(field(in, "stride="));
-  const auto num_ranks = static_cast<std::size_t>(field(in, "ranks="));
-  opts.device_ranks.resize(num_ranks);
-  for (std::size_t i = 0; i < num_ranks; ++i) {
-    DPIPE_REQUIRE(static_cast<bool>(in >> opts.device_ranks[i]),
-                  "truncated device_ranks");
+  opts.dp_rank_stride = int_field(in, "stride=");
+  const int num_ranks = int_field(in, "ranks=");
+  DPIPE_REQUIRE(num_ranks >= 0, "negative device_ranks count");
+  for (int i = 0; i < num_ranks; ++i) {
+    int rank = 0;
+    DPIPE_REQUIRE(static_cast<bool>(in >> rank), "truncated device_ranks");
+    opts.device_ranks.push_back(rank);
   }
   return opts;
 }
@@ -108,14 +134,14 @@ void write_plan_config(std::ostream& out, const PlanConfig& config) {
 PlanConfig read_plan_config(std::istream& in) {
   expect_keyword(in, "config");
   PlanConfig config;
-  config.num_stages = static_cast<int>(field(in, "s="));
-  config.num_microbatches = static_cast<int>(field(in, "m="));
-  config.group_size = static_cast<int>(field(in, "d="));
-  config.data_parallel_degree = static_cast<int>(field(in, "dp="));
+  config.num_stages = int_field(in, "s=");
+  config.num_microbatches = int_field(in, "m=");
+  config.group_size = int_field(in, "d=");
+  config.data_parallel_degree = int_field(in, "dp=");
   config.predicted_iteration_ms = field(in, "t=");
   config.planned_bubble_ratio = field(in, "br=");
   config.memory_feasible = field(in, "mem=") != 0.0;
-  config.vstages = static_cast<int>(field(in, "v="));
+  config.vstages = int_field(in, "v=");
   return config;
 }
 
@@ -155,7 +181,6 @@ CachedPlan load_plan_entry(std::istream& in) {
   expect_keyword(in, "explored");
   std::size_t explored_count = 0;
   DPIPE_REQUIRE(static_cast<bool>(in >> explored_count), "malformed explored");
-  entry.explored.reserve(explored_count);
   for (std::size_t i = 0; i < explored_count; ++i) {
     entry.explored.push_back(read_plan_config(in));
   }

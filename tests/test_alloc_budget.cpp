@@ -31,6 +31,7 @@
 #include "runtime/interpreter.h"
 #include "runtime/pipeline_exec.h"
 #include "runtime/tensor.h"
+#include "service/plan_store.h"
 
 namespace {
 
@@ -193,6 +194,31 @@ TEST(AllocBudget, CheckpointHeadersAllocateOnlyWhatIsRead) {
     std::stringstream bad(prefix + claim);
     g_largest.store(0);
     EXPECT_THROW((void)rt::load_checkpoint(bad), std::invalid_argument);
+    EXPECT_LT(g_largest.load(), std::size_t{1} << 20);
+  }
+}
+
+TEST(AllocBudget, PlanEntryHeadersAllocateOnlyWhatIsRead) {
+  // Plan entries whose headers claim a 3 GB request block, 500M device
+  // ranks or 60M explored configs, followed by (almost) no payload, must be
+  // rejected without ever requesting the claimed size; a number too large
+  // for its field must be rejected before it is cast.
+  const std::string hex(32, '0');
+  const std::string head = "dpipe-plan v1\nfingerprint " + hex +
+                           "\nmodel_fingerprint " + hex +
+                           "\ncluster_fingerprint " + hex + "\n";
+  const std::string popts =
+      head + "request_bytes 0\nconfig s=2 m=4 d=2 dp=1 t=1 br=0 mem=1 v=1\n"
+             "popts s=2 m=4 d=2 dp=1 mb=8 sc=0 scp=0.5 fur=1 ccf=1 sds=0 "
+             "stride=0 ";
+  for (const std::string& claim :
+       {head + "request_bytes 3000000000\nabc",
+        popts + "ranks=500000000\n", popts + "ranks=1e300\n",
+        popts + "ranks=0\nexplored 60000000\n"}) {
+    SCOPED_TRACE(claim);
+    std::istringstream bad(claim);
+    g_largest.store(0);
+    EXPECT_THROW((void)load_plan_entry(bad), std::invalid_argument);
     EXPECT_LT(g_largest.load(), std::size_t{1} << 20);
   }
 }

@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <numeric>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/parallel.h"
 #include "core/instr/serialize.h"
 #include "core/partition/bidirectional.h"
@@ -488,6 +493,114 @@ void expect_plans_identical(const Plan& a, const Plan& b) {
     EXPECT_TRUE(a.explored[i] == b.explored[i]) << "explored entry " << i;
   }
   EXPECT_EQ(program_to_string(a.program), program_to_string(b.program));
+}
+
+/// Fingerprint of everything a plan exposes to its consumers: the lowered
+/// program's text plus every explored config, doubles as exact bit patterns.
+std::string plan_fingerprint(const Plan& plan) {
+  std::ostringstream out;
+  out << program_to_string(plan.program);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const PlanConfig& c : plan.explored) {
+    out << c.num_stages << ' ' << c.num_microbatches << ' ' << c.group_size
+        << ' ' << c.data_parallel_degree << ' '
+        << bits(c.predicted_iteration_ms) << ' '
+        << bits(c.planned_bubble_ratio) << ' ' << c.memory_feasible << ' '
+        << c.vstages << '\n';
+  }
+  return fingerprint_bytes(out.str()).hex();
+}
+
+TEST(PlannerSearch, ZooPlansMatchRecordedFingerprints) {
+  // Golden plans: every zoo model on one and two machines, under the 1F1B
+  // and interleaved (V in {1, 2, 4}) families, with and without a
+  // StageCostStore. Any change to the partition DP, the schedule builders,
+  // the filler or the lowering that moves a single bit of a plan, an
+  // explored config or the stage-cost cache traffic fails here. (The
+  // two-machine cdm_imagenet_full search is left out to keep this fast.)
+  struct Golden {
+    const char* model;
+    int machines;
+    bool interleaved;
+    bool store;
+    const char* fingerprint;
+    std::size_t cache_hits;
+    std::size_t cache_misses;
+  };
+  const Golden goldens[] = {
+      {"sd21", 1, false, false, "ca6c05b1284264cfd0aff3d87f7d5c4a", 0, 0},
+      {"sd21", 1, false, true, "ca6c05b1284264cfd0aff3d87f7d5c4a", 88, 13984},
+      {"sd21", 1, true, false, "416b7a63f62bb01befa089007b9af12d", 0, 0},
+      {"sd21", 1, true, true, "416b7a63f62bb01befa089007b9af12d", 296, 44520},
+      {"sd21", 2, false, false, "9af5d1b714a33b3f0c67d765704eadaf", 0, 0},
+      {"sd21", 2, false, true, "9af5d1b714a33b3f0c67d765704eadaf", 144, 24264},
+      {"sd21", 2, true, false, "4a1df6029537070811d438206cec2a00", 0, 0},
+      {"sd21", 2, true, true, "4a1df6029537070811d438206cec2a00", 352, 54800},
+      {"controlnet", 1, false, false, "fa9370fecc0a47669099441dafbe2cf3", 0, 0},
+      {"controlnet", 1, false, true, "fa9370fecc0a47669099441dafbe2cf3", 88, 13984},
+      {"controlnet", 1, true, false, "1673808ad2563ceec5a56a6e472d7787", 0, 0},
+      {"controlnet", 1, true, true, "1673808ad2563ceec5a56a6e472d7787", 296, 44520},
+      {"controlnet", 2, false, false, "3df517cb5d5cb89444b78a0674194fb5", 0, 0},
+      {"controlnet", 2, false, true, "3df517cb5d5cb89444b78a0674194fb5", 144, 24264},
+      {"controlnet", 2, true, false, "fa7584baaa2b7096484aba153a77cf02", 0, 0},
+      {"controlnet", 2, true, true, "fa7584baaa2b7096484aba153a77cf02", 352, 54800},
+      {"cdm_lsun", 1, false, false, "e64d82df2e4c3d184f27db01f61783ce", 331904, 18488},
+      {"cdm_lsun", 1, false, true, "e64d82df2e4c3d184f27db01f61783ce", 331904, 18488},
+      {"cdm_lsun", 1, true, false, "e64d82df2e4c3d184f27db01f61783ce", 331904, 18488},
+      {"cdm_lsun", 1, true, true, "e64d82df2e4c3d184f27db01f61783ce", 331904, 18488},
+      {"cdm_lsun", 2, false, false, "513cdae3ac0021b0517b59a334d61ba1", 566424, 31800},
+      {"cdm_lsun", 2, false, true, "513cdae3ac0021b0517b59a334d61ba1", 566424, 31800},
+      {"cdm_lsun", 2, true, false, "513cdae3ac0021b0517b59a334d61ba1", 566424, 31800},
+      {"cdm_lsun", 2, true, true, "513cdae3ac0021b0517b59a334d61ba1", 566424, 31800},
+      {"cdm_imagenet", 1, false, false, "de59a9204d7445d9ff8c52879b6452da", 567168, 25944},
+      {"cdm_imagenet", 1, false, true, "de59a9204d7445d9ff8c52879b6452da", 567168, 25944},
+      {"cdm_imagenet", 1, true, false, "de59a9204d7445d9ff8c52879b6452da", 567168, 25944},
+      {"cdm_imagenet", 1, true, true, "de59a9204d7445d9ff8c52879b6452da", 567168, 25944},
+      {"cdm_imagenet", 2, false, false, "3117c4c97b1e9c979183e9ecea77afc1", 976824, 44952},
+      {"cdm_imagenet", 2, false, true, "3117c4c97b1e9c979183e9ecea77afc1", 976824, 44952},
+      {"cdm_imagenet", 2, true, false, "3117c4c97b1e9c979183e9ecea77afc1", 976824, 44952},
+      {"cdm_imagenet", 2, true, true, "3117c4c97b1e9c979183e9ecea77afc1", 976824, 44952},
+      {"cdm_imagenet_full", 1, false, false, "c072da63c3a40d3e852012dc35936d8b", 1474368, 53384},
+      {"cdm_imagenet_full", 1, false, true, "c072da63c3a40d3e852012dc35936d8b", 1474368, 53384},
+      {"cdm_imagenet_full", 1, true, false, "c072da63c3a40d3e852012dc35936d8b", 1474368, 53384},
+      {"cdm_imagenet_full", 1, true, true, "c072da63c3a40d3e852012dc35936d8b", 1474368, 53384},
+      {"sdxl", 1, false, false, "f6f380f5302b418ae0a4aba9a2b2d516", 0, 0},
+      {"sdxl", 1, false, true, "f6f380f5302b418ae0a4aba9a2b2d516", 88, 13984},
+      {"sdxl", 1, true, false, "8bc4d9861d2fcc862c0054c55be8cb02", 0, 0},
+      {"sdxl", 1, true, true, "8bc4d9861d2fcc862c0054c55be8cb02", 296, 44520},
+      {"sdxl", 2, false, false, "aa6dbe69e57f28344bc9f82ff48ffb13", 0, 0},
+      {"sdxl", 2, false, true, "aa6dbe69e57f28344bc9f82ff48ffb13", 144, 24264},
+      {"sdxl", 2, true, false, "7f83839e232b3043f1bf47d6d9bbf326", 0, 0},
+      {"sdxl", 2, true, true, "7f83839e232b3043f1bf47d6d9bbf326", 352, 54800},
+      {"dit", 1, false, false, "fff2052552a7de8d50733d41f1055898", 0, 0},
+      {"dit", 1, false, true, "fff2052552a7de8d50733d41f1055898", 88, 13984},
+      {"dit", 1, true, false, "20e9588adf96027caadde9649bf84be6", 0, 0},
+      {"dit", 1, true, true, "20e9588adf96027caadde9649bf84be6", 296, 44520},
+      {"dit", 2, false, false, "b03a305ed6fc0a1ce1355ee3103bf9c6", 0, 0},
+      {"dit", 2, false, true, "b03a305ed6fc0a1ce1355ee3103bf9c6", 144, 24264},
+      {"dit", 2, true, false, "e66af276cd57693c9204f5ff4bd1449d", 0, 0},
+      {"dit", 2, true, true, "e66af276cd57693c9204f5ff4bd1449d", 352, 54800},
+  };
+  for (const Golden& g : goldens) {
+    SCOPED_TRACE(testing::Message()
+                 << g.model << " x" << g.machines
+                 << (g.interleaved ? " interleaved" : " 1f1b")
+                 << (g.store ? " store" : ""));
+    PlannerOptions opts;
+    opts.global_batch = 256.0;
+    if (g.interleaved) {
+      opts.schedule_family = ScheduleFamily::kInterleaved;
+      opts.vstage_candidates = {1, 2, 4};
+    }
+    StageCostStore store;
+    opts.cache_store = g.store ? &store : nullptr;
+    const Plan plan = Planner(make_model_by_name(g.model),
+                              make_p4de_cluster(g.machines), opts)
+                          .plan();
+    EXPECT_EQ(plan_fingerprint(plan), g.fingerprint);
+    EXPECT_EQ(plan.search.cache_hits, g.cache_hits);
+    EXPECT_EQ(plan.search.cache_misses, g.cache_misses);
+  }
 }
 
 TEST(PlannerSearch, BitIdenticalAcrossThreadCounts) {

@@ -203,6 +203,28 @@ TEST(ScheduleBubbles, ChronologicalAndWithinMakespan) {
   }
 }
 
+/// Exact equality of two schedules' compute and link ops.
+void expect_same_ops(const Schedule& a, const Schedule& b) {
+  EXPECT_EQ(a.makespan_ms, b.makespan_ms);
+  ASSERT_EQ(a.devices.size(), b.devices.size());
+  for (std::size_t d = 0; d < a.devices.size(); ++d) {
+    ASSERT_EQ(a.devices[d].ops.size(), b.devices[d].ops.size());
+    for (std::size_t i = 0; i < a.devices[d].ops.size(); ++i) {
+      const PipelineOp& x = a.devices[d].ops[i];
+      const PipelineOp& y = b.devices[d].ops[i];
+      EXPECT_TRUE(x.kind == y.kind && x.backbone == y.backbone &&
+                  x.stage == y.stage && x.micro == y.micro &&
+                  x.start_ms == y.start_ms && x.end_ms == y.end_ms)
+          << "device " << d << " op " << i;
+    }
+  }
+  ASSERT_EQ(a.link_ops.size(), b.link_ops.size());
+  for (std::size_t i = 0; i < a.link_ops.size(); ++i) {
+    EXPECT_EQ(a.link_ops[i].start_ms, b.link_ops[i].start_ms);
+    EXPECT_EQ(a.link_ops[i].end_ms, b.link_ops[i].end_ms);
+  }
+}
+
 TEST(ScheduleBidirectional, ValidAndCoversBothBackbones) {
   const Fixture f(make_cdm_lsun());
   const PartitionOptions opts = basic_options(4, 4, 8);
@@ -225,6 +247,14 @@ TEST(ScheduleBidirectional, ValidAndCoversBothBackbones) {
     }
     EXPECT_TRUE(has_down && has_up);
   }
+  // The builder prices the chain under bidirectional_options, as the DP
+  // does, so a caller's own competition factor cannot make the schedule
+  // disagree with the partition it was given.
+  PartitionOptions factor3 = opts;
+  factor3.comm_competition_factor = 3.0;
+  expect_same_ops(schedule, f.builder.build_bidirectional(
+                                1, part.down_stages, 2, part.up_stages,
+                                factor3));
 }
 
 TEST(ScheduleBidirectional, BeatsSequentialUnidirectional) {

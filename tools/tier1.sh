@@ -10,7 +10,8 @@
 # concurrent TensorPool), and the plan-service suites (single-flight cache,
 # stage-cost leases, concurrent request determinism), then an
 # AddressSanitizer+UBSan build running the process-pool, planner,
-# cascade-DP, stage-cost and plan-service suites plus the interpreter,
+# partition-DP, schedule-builder, stage-cost, plan-service and plan-store
+# suites plus the interpreter,
 # channel, trainer, fault, elastic, equivalence, parity, interleaved and
 # reshard suites, the check macros and the
 # program/checkpoint/profile parsers, a socket-level request-storm smoke of
@@ -46,15 +47,17 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/dpipe_tests \
 echo "== tier-1: ASan+UBSan build (planner, service, runtime + fault tests) =="
 cmake -B build-asan -S . -DDPIPE_SANITIZE=address,undefined
 cmake --build build-asan -j"$(nproc)" --target dpipe_tests
-# ErrorMacros, Serialize, CheckpointIo and ProfileDb put the out-of-line
-# check thrower and the parsers' rejection paths under ASan and UBSan.
+# ErrorMacros, Serialize, CheckpointIo, ProfileDb and PlanStore put the
+# out-of-line check thrower and the parsers' rejection paths under ASan and
+# UBSan. Partitioner, PartitionerAblation, Pareto, Grouping and the Schedule*
+# suites drive the one chain DP and the one schedule assembly directly.
 # Equivalence, Parity, Interleaved and Reshard run the preamble, the
 # self-conditioning and training waves and interleaved programs, so every
 # wave's owned channels, barriers and outputs are checked too.
 # dpipe_alloc_tests is not built here: it replaces the global operator new,
 # which the sanitizers own, so it runs only in the standard build's ctest.
 ./build-asan/tests/dpipe_tests \
-  --gtest_filter='ParallelFor.*:ProcessPool.*:PlannerSearch.*:Bidirectional.*:StageCostCache.*:StageCostStore.*:PlanFingerprint.*:PlanService.*:Interpreter.*:Channel.*:PipelineTrainer.*:Fault.*:Elastic.*:ErrorMacros.*:Serialize.*:CheckpointIo.*:ProfileDb.*:ProfileDbInterp.*:Equivalence.*:Parity.*:Interleaved.*:Reshard.*'
+  --gtest_filter='ParallelFor.*:ProcessPool.*:PlannerSearch.*:Bidirectional.*:StageCostCache.*:StageCostStore.*:PlanFingerprint.*:PlanService.*:Interpreter.*:Channel.*:PipelineTrainer.*:Fault.*:Elastic.*:ErrorMacros.*:Serialize.*:CheckpointIo.*:ProfileDb.*:ProfileDbInterp.*:Equivalence.*:Parity.*:Interleaved.*:Reshard.*:Partitioner.*:PartitionerAblation.*:Pareto.*:Grouping.*:Schedule1F1B.*:ScheduleGPipe.*:ScheduleBidirectional.*:ScheduleBuilder.*:PlanStore.*'
 
 echo "== tier-1: interleaved schedule smoke =="
 # The interleaved family exercises multi-virtual-stage device timelines on
